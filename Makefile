@@ -7,13 +7,10 @@
 #   bench                - SMOKE gate: one iteration of every benchmark, so
 #                          bench_test.go always compiles and executes; not a
 #                          measurement
-#   benchcore            - MEASURED core benchmarks: serial and epoch-
-#                          parallel stepper cycles/sec at 1/2/4/8 cores +
-#                          streaming replay, best-of-3 per row, gated
-#                          against the committed BENCH_CORE.json (fail
-#                          under (1-CORE_TOLERANCE) x baseline, or if the
-#                          parallel stepper loses its structural edge over
-#                          the serial one)
+#   benchcore            - MEASURED core benchmarks: stepper cycles/sec at
+#                          1/2/4/8 cores + streaming replay, best-of-3 per
+#                          row, gated against the committed BENCH_CORE.json
+#                          (fail under (1-CORE_TOLERANCE) x baseline)
 #   benchcore-baseline   - re-measure and overwrite BENCH_CORE.json
 #   smoke                - trimmed paperbench run with shape checks
 #   servebench           - colserved under load (BENCH_PR3.json)
@@ -31,7 +28,7 @@
 #                          colload -fabric; cluster ledger reconciliation
 #                          (BENCH_PR8.json)
 #   conformance / cover  - differential oracle matrix + coverage gate
-#   multicore            - MSI -race sweep, stepper determinism, BENCH_PR5
+#   multicore            - MSI -race sweep, -jobs determinism
 #   watch                - live-inspection smoke: colserved streams SSE
 #                          occupancy frames for a running job, retains
 #                          them for time travel, and colwatch replays a
@@ -186,8 +183,8 @@ fabricbench:
 # driven in lockstep with the production stack over the committed golden
 # traces plus CONFORM_N seeded random trace/config combinations, all under
 # the race detector, plus CONFORM_MC seeded multicore machines run through
-# both the serial and the epoch-parallel stepper and compared on every
-# counter and cache line. A failing run minimizes the case to
+# both the checked Step loop and the batched RunContext loop and compared
+# on every counter and cache line. A failing run minimizes the case to
 # conform-repro.json.
 CONFORM_N    ?= 1000
 CONFORM_MC   ?= 500
@@ -198,30 +195,19 @@ conformance:
 	/tmp/conform -n $(CONFORM_N) -mc $(CONFORM_MC) -seed $(CONFORM_SEED) -golden internal/conform/testdata/golden
 
 # Multicore gates: the MSI coherence protocol under -race (including the
-# seeded random invariant sweep and the epoch-parallel equivalence tests),
+# seeded random invariant sweep and the run-loop equivalence tests), and
 # the stepper's determinism — the interference study must be byte-identical
-# at any -jobs value, and the epoch-parallel stepper must print the exact
-# serial output at any epoch length — and a throughput snapshot for both
-# steppers at 1/2/4/8 cores in BENCH_PR5.json.
+# at any -jobs value.
 multicore:
 	$(GO) test -race ./internal/multicore
 	$(GO) build -o /tmp/paperbench ./cmd/paperbench
 	/tmp/paperbench -experiment multicore -jobs 1 > /tmp/mc-serial.txt
 	/tmp/paperbench -experiment multicore -jobs 8 > /tmp/mc-parallel.txt
 	cmp /tmp/mc-serial.txt /tmp/mc-parallel.txt
-	$(GO) build -o /tmp/colsim ./cmd/colsim
-	/tmp/colsim -cores 4 -synth random -n 50000 > /tmp/mc-step-serial.txt
-	/tmp/colsim -cores 4 -synth random -n 50000 -parallel -epoch 1 > /tmp/mc-step-k1.txt
-	/tmp/colsim -cores 4 -synth random -n 50000 -parallel -epoch 64 > /tmp/mc-step-k64.txt
-	cmp /tmp/mc-step-serial.txt /tmp/mc-step-k1.txt
-	cmp /tmp/mc-step-k1.txt /tmp/mc-step-k64.txt
-	/tmp/paperbench -quick -mcscale BENCH_PR5.json
-	test -s BENCH_PR5.json
 
 # Live-inspection smoke. Three legs: colsim dumps a deterministic frame
-# sequence — byte-identical between the serial and epoch-parallel
-# steppers — that colwatch's scrub mode replays (line-mode keys, so no
-# tty needed); a colserved with frame capture on serves SSE frames for a
+# sequence that colwatch's scrub mode replays (line-mode keys, so no tty
+# needed); a colserved with frame capture on serves SSE frames for a
 # job that is still running when the stream attaches, ending with a
 # terminal event; and the retained frames stay scrubbable over the
 # time-travel endpoint after the job is done.
@@ -232,8 +218,6 @@ watch:
 	$(GO) build -o /tmp/colwatch ./cmd/colwatch
 	/tmp/colsim -cores 2 -synth random -n 100000 -inspect-every 4096 -inspect-out /tmp/watch-frames.jsonl > /dev/null
 	test -s /tmp/watch-frames.jsonl
-	/tmp/colsim -cores 2 -synth random -n 100000 -parallel -inspect-every 4096 -inspect-out /tmp/watch-frames-par.jsonl > /dev/null
-	cmp /tmp/watch-frames.jsonl /tmp/watch-frames-par.jsonl
 	printf 'l\nr\nG\nq\n' | /tmp/colwatch -file /tmp/watch-frames.jsonl -replay > /dev/null
 	set -e; \
 	/tmp/colserved -addr $(WATCH_ADDR) -inspect-every 4096 -quiet & \

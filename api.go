@@ -87,19 +87,14 @@ type CoreSpec struct {
 // into its own 4 GiB address window so the co-run contends only for
 // capacity; SharedAddresses leaves the workloads' native addresses in
 // place, so overlapping footprints exercise the coherence protocol.
-// Parallel selects the epoch-parallel stepper, which runs each core's
-// lookahead on its own goroutine and is bit-identical to the serial
-// stepper; Epoch tunes its lookahead window in simulated cycles (0 picks
-// the default). The results are the same either way — only wall-clock
-// time differs.
+// The co-run steps on one deterministic serial stepper, so the result is a
+// pure function of the spec.
 type MulticoreSpec struct {
 	Cores           []CoreSpec `json:"cores"`
 	L2Sets          int        `json:"l2_sets,omitempty"`       // default 64
 	L2Ways          int        `json:"l2_ways,omitempty"`       // default 8
 	L2HitCycles     int        `json:"l2_hit_cycles,omitempty"` // default 6
 	SharedAddresses bool       `json:"shared_addresses,omitempty"`
-	Parallel        bool       `json:"parallel,omitempty"`
-	Epoch           int64      `json:"epoch,omitempty"` // lookahead cycles per epoch when Parallel
 }
 
 // SimSpec is the body of POST /v1/simulate: one machine, one trace source.

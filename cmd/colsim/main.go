@@ -108,12 +108,11 @@ func main() {
 		reuse     = flag.Bool("reuse", false, "print the trace's reuse-distance histogram and LRU hit-rate estimates")
 		planPath  = flag.String("plan", "", "apply a saved layout plan (from layouttool -o) before the run")
 		adaptive  = flag.Bool("adaptive", false, "let the online controller redistribute columns across tints at epoch boundaries")
-		epoch     = flag.Int64("epoch", 4096, "adaptive decision interval in cache accesses; with -parallel, the lookahead window in simulated cycles")
+		epoch     = flag.Int64("epoch", 4096, "adaptive decision interval in cache accesses")
 		minGain   = flag.Int64("mingain", 16, "adaptive hysteresis: predicted sampled-hit gain required to remap")
 		inspEvery = flag.Int("inspect-every", 0, "dump an occupancy frame every N accesses (needs -inspect-out)")
 		inspOut   = flag.String("inspect-out", "", "occupancy frame JSONL destination (- for stdout)")
 		cores     = flag.Int("cores", 0, "multicore mode: cores with private L1s over a shared snooped L2 (0 = single-core)")
-		parallel  = flag.Bool("parallel", false, "multicore mode: use the epoch-parallel stepper (bit-identical results to serial)")
 		l2sets    = flag.Int("l2sets", 64, "multicore mode: shared L2 sets (power of two)")
 		l2ways    = flag.Int("l2ways", 8, "multicore mode: shared L2 ways = columns")
 		l2hit     = flag.Int("l2hit", 6, "multicore mode: L2 hit cycles")
@@ -158,16 +157,12 @@ func main() {
 
 	if *cores > 0 {
 		if err := runMulticore(traces, *cores, *lineBytes, *sets, *ways, *pageBytes,
-			*policy, *penalty, *l2sets, *l2ways, *l2hit, l2cols, *parallel, *epoch,
+			*policy, *penalty, *l2sets, *l2ways, *l2hit, l2cols,
 			*inspEvery, *inspOut); err != nil {
 			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
 			os.Exit(1)
 		}
 		return
-	}
-	if *parallel {
-		fmt.Fprintln(os.Stderr, "colsim: -parallel needs multicore mode (-cores N)")
-		os.Exit(1)
 	}
 
 	timing := memsys.DefaultTiming
@@ -324,12 +319,10 @@ func main() {
 }
 
 // runMulticore executes the -cores path: one trace per core through private
-// L1 column caches kept coherent over a shared column-partitioned L2, via
-// the serial stepper or (with -parallel) the bit-identical epoch-parallel
-// stepper.
+// L1 column caches kept coherent over a shared column-partitioned L2.
 func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageBytes int,
 	policy string, penalty, l2sets, l2ways, l2hit int, l2cols jobMaskFlag,
-	parallel bool, epoch int64, inspEvery int, inspOut string) error {
+	inspEvery int, inspOut string) error {
 	replicated := false
 	switch {
 	case len(traces) == 1 && cores > 1:
@@ -406,8 +399,6 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 		for _, t := range traces {
 			total += int64(len(t))
 		}
-		// An attached inspector forces the epoch-parallel stepper onto its
-		// serial fallback, so -parallel dumps are bit-identical to serial.
 		m.SetInspector(int64(inspEvery), func(done int64) {
 			red.Reduce(&frame, done, done == total)
 			if err := enc.Encode(&frame); err != nil && encErr == nil {
@@ -415,14 +406,10 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 			}
 		})
 	}
-	switch {
-	case parallel:
-		err = m.RunParallel(epoch)
-	case inspEvery > 0:
-		// Only the checkpointing stepper fires the inspector; the tight
-		// Run loop skips all per-step bookkeeping.
+	if inspEvery > 0 {
+		// Only RunContext fires the inspector.
 		err = m.RunContext(context.Background(), 0, nil)
-	default:
+	} else {
 		err = m.Run()
 	}
 	if err != nil {

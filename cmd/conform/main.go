@@ -26,7 +26,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("conform", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	n := fs.Int("n", 256, "number of seeded random cases")
-	mc := fs.Int("mc", 0, "number of seeded multicore serial-vs-epoch-parallel equivalence cases")
+	mc := fs.Int("mc", 0, "number of seeded multicore Step-vs-RunContext equivalence cases")
 	seed := fs.Int64("seed", 1, "first random-case seed (cases use seed..seed+n-1)")
 	jobs := fs.Int("jobs", runner.DefaultWorkers(), "cases checked concurrently")
 	golden := fs.String("golden", "internal/conform/testdata/golden", "golden trace directory (empty to skip)")
@@ -107,8 +107,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Multicore serial-equivalence sweep: the epoch-parallel stepper against
-	// the serial stepper, every counter and cache line compared.
+	// Multicore run-loop sweep: RunContext at seeded strides against the
+	// checked Step loop, every counter and cache line compared.
 	if *mc > 0 {
 		mcs := make([]conform.MCCase, *mc)
 		for i := range mcs {
@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "conform: %d cases agree (%d golden, %d random from seed %d)\n",
 		len(cases), len(cases)-*n, *n, *seed)
 	if *mc > 0 {
-		fmt.Fprintf(stdout, "conform: %d multicore serial-vs-parallel cases agree\n", *mc)
+		fmt.Fprintf(stdout, "conform: %d multicore Step-vs-RunContext cases agree\n", *mc)
 	}
 	return 0
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperbench [-experiment fig4|fig5|ablations|comparisons|adaptive|multicore|all] [-quick] [-jobs N] [-mcscale file.json]
+//	paperbench [-experiment fig4|fig5|ablations|comparisons|adaptive|multicore|all] [-quick] [-jobs N]
 //
 // -quick trims the Figure 5 quantum sweep for a fast run; the default runs
 // the paper's full 1..1M axis.
@@ -37,21 +37,13 @@ func main() {
 	quick := flag.Bool("quick", false, "trim sweeps for a fast run")
 	jsonPath := flag.String("json", "", "write all results as JSON to this file instead of tables")
 	jobs := flag.Int("jobs", 0, "parallel workers (0 = one per CPU, 1 = serial)")
-	mcscale := flag.String("mcscale", "", "measure serial and epoch-parallel stepper throughput at 1/2/4/8 cores and write JSON to this file")
-	corebench := flag.String("corebench", "", "run the core benchmark (serial + epoch-parallel steppers at 1/2/4/8 cores, streaming replay, best-of--corereps) and write JSON to this file")
+	corebench := flag.String("corebench", "", "run the core benchmark (stepper at 1/2/4/8 cores, streaming replay, best-of--corereps) and write JSON to this file")
 	corebaseline := flag.String("corebaseline", "", "compare the -corebench run against this committed baseline JSON; exit nonzero on regression")
 	coretolerance := flag.Float64("coretolerance", 0.25, "fractional throughput regression tolerated against -corebaseline")
 	corereps := flag.Int("corereps", 3, "repetitions per -corebench row; the best run is kept")
 	flag.Parse()
 
 	experiments.SetWorkers(*jobs)
-
-	if *mcscale != "" {
-		if err := runScaling(*mcscale, *quick); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	if *corebench != "" {
 		ok, err := runCoreBench(*corebench, *corebaseline, *coretolerance, *corereps, *quick)
@@ -206,36 +198,6 @@ func multicoreSection(w io.Writer) (bool, error) {
 		fmt.Fprintln(w)
 	}
 	return report(w, data.Verify()), nil
-}
-
-// runScaling measures both steppers' simulated-cycles-per-second at growing
-// core counts and writes the JSON record CI archives (BENCH_PR5.json):
-// serial rows first, then epoch-parallel rows over the identical workload.
-func runScaling(path string, quick bool) error {
-	per := 400000
-	if quick {
-		per = 100000
-	}
-	counts := []int{1, 2, 4, 8}
-	rows, err := experiments.RunMulticoreScaling(counts, per)
-	if err != nil {
-		return err
-	}
-	prows, err := experiments.RunMulticoreScalingParallel([]int{2, 4, 8}, per, 0)
-	if err != nil {
-		return err
-	}
-	rows = append(rows, prows...)
-	experiments.ScalingTable(rows).Write(os.Stdout)
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("paperbench: wrote %s (%d bytes)\n", path, len(data)+1)
-	return nil
 }
 
 // runCoreBench measures the core benchmark (best-of-reps per row), writes

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -13,29 +14,28 @@ import (
 	"colcache/internal/replacement"
 )
 
-// Multicore serial-equivalence conformance: the epoch-parallel stepper
-// (multicore.RunParallel) claims bit-identical results to the serial stepper
-// for ANY epoch length. Each MCCase draws a machine — core count, cache
-// geometries, policies, epoch length, L2 partitioning, a deterministic
-// mid-run remap schedule, contended and private traffic — from a seed, runs
-// it through both steppers, and compares everything observable: every
-// counter of every core, bus and L2 statistics, the writeback ledger, the
-// complete L1 and L2 contents, and the final L2 column masks. Checks is
-// itself a seeded axis: with checks on every hit becomes a barrier-merged
-// note record and coherence invariants are verified live throughout, while
-// checks off — the mode every benchmark and production run uses — takes the
-// structurally different path where local hits are folded into record
-// prefixes and unkeyed tails; both halves of the sweep end with the same
-// structural invariant walk and full-state comparison.
+// Multicore run-loop conformance: Step is the reference definition of the
+// stepper's arbitration, and RunContext — the batched loop every benchmark,
+// colsim and colserved run — claims to execute exactly that schedule for
+// any checkpoint and inspector stride. Each MCCase draws a machine — core
+// count, cache geometries, policies, L2 partitioning, a deterministic
+// mid-run remap schedule, contended and private traffic — and the two
+// strides from a seed. The reference runs Step with coherence invariants
+// verified after every access; the other side runs RunContext with checks
+// off. Everything observable is compared: every counter of every core, bus
+// and L2 statistics, the writeback ledger, the machine's counters at every
+// inspection point, the inspection and checkpoint positions, the complete
+// L1 and L2 contents, and the final L2 column masks.
 
-// MCCase is one seeded serial-vs-parallel equivalence case.
+// MCCase is one seeded Step-vs-RunContext equivalence case.
 type MCCase struct {
-	Name      string
-	Seed      int64
-	Cfg       multicore.Config
-	Epoch     int64              // epoch length for the parallel run
-	Partition []replacement.Mask // initial per-core L2 masks (nil: unpartitioned)
-	Remap     []multicore.RemapEvent
+	Name         string
+	Seed         int64
+	Cfg          multicore.Config
+	CheckEvery   int                // RunContext checkpoint stride
+	InspectEvery int64              // inspector stride
+	Partition    []replacement.Mask // initial per-core L2 masks (nil: unpartitioned)
+	Remap        []multicore.RemapEvent
 }
 
 // mcSynthTrace builds a deterministic locality-biased read/write stream over
@@ -64,10 +64,11 @@ func mcSynthTrace(rng *rand.Rand, n int, lo, hi uint64) memtrace.Trace {
 	return tr
 }
 
-// mcEpochs is the epoch-length axis: K=1 must degenerate to the serial
-// stepper one access at a time; the large values exercise long lookaheads
-// with many buffered records and mid-merge direct execution.
-var mcEpochs = []int64{1, 3, 7, 64, 512, 4096}
+// mcStrides is the checkpoint and inspector stride axis: 1 ends a batch at
+// every access; the odd strides mostly leave a remainder, so the run ends
+// off the grid; 4096 exceeds every case's length, so only the end of the
+// run is an event.
+var mcStrides = []int64{1, 3, 7, 64, 512, 4096}
 
 // NewMCCase derives a multicore equivalence case from a seed.
 func NewMCCase(seed int64) MCCase {
@@ -81,7 +82,7 @@ func NewMCCase(seed int64) MCCase {
 	policies := []replacement.Kind{replacement.LRU, replacement.TreePLRU, replacement.FIFO, replacement.Random}
 
 	// Contended shared window interleaved with per-core private windows, so
-	// every bus transaction class appears and epochs both conflict and merge.
+	// every bus transaction class appears.
 	sharedHi := uint64(512 + rng.Intn(1024))
 	var traces []memtrace.Trace
 	for c := 0; c < cores; c++ {
@@ -112,12 +113,9 @@ func NewMCCase(seed int64) MCCase {
 			Timing:      memsys.DefaultTiming,
 			L2HitCycles: 1 + rng.Intn(6),
 			Traces:      traces,
-			// Half the sweep runs checks off: per-hit note records (checks
-			// on) and folded local-hit tails (checks off) are different merge
-			// paths, and the latter is the one benchmarks and colserved use.
-			Checks: rng.Intn(2) == 0,
 		},
-		Epoch: mcEpochs[rng.Intn(len(mcEpochs))],
+		CheckEvery:   int(mcStrides[rng.Intn(len(mcStrides))]),
+		InspectEvery: mcStrides[rng.Intn(len(mcStrides))],
 	}
 
 	// Half the cases partition the shared L2 per core; a third of those also
@@ -148,8 +146,10 @@ func NewMCCase(seed int64) MCCase {
 	return mc
 }
 
-func mcBuild(c MCCase) (*multicore.Machine, error) {
-	m, err := multicore.New(c.Cfg)
+func mcBuild(c MCCase, checks bool) (*multicore.Machine, error) {
+	cfg := c.Cfg
+	cfg.Checks = checks
+	m, err := multicore.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,55 +177,109 @@ func mcDumpLines(ch *cache.Cache) []cache.LineState {
 	return out
 }
 
-// RunMCCase runs one case through both steppers and returns the first
-// observable divergence, or nil if the machines are identical.
+// RunMCCase runs one case through Step and RunContext and returns the
+// first observable divergence, or nil if the runs are identical.
 func RunMCCase(c MCCase) *Divergence {
 	fail := func(format string, args ...any) *Divergence {
 		return &Divergence{Case: c.Name, Step: -1, Detail: fmt.Sprintf(format, args...)}
 	}
-	serial, err := mcBuild(c)
+	ref, err := mcBuild(c, true)
 	if err != nil {
-		return fail("building serial machine: %v", err)
+		return fail("building reference machine: %v", err)
 	}
-	parallel, err := mcBuild(c)
+	run, err := mcBuild(c, false)
 	if err != nil {
-		return fail("building parallel machine: %v", err)
+		return fail("building RunContext machine: %v", err)
 	}
-	if err := serial.Run(); err != nil {
-		return fail("serial stepper: coherence violation: %v", err)
-	}
-	if err := parallel.RunParallel(c.Epoch); err != nil {
-		return fail("epoch stepper (K=%d): coherence violation: %v", c.Epoch, err)
-	}
-	if err := serial.CheckInvariants(); err != nil {
-		return fail("serial final invariants: %v", err)
-	}
-	if err := parallel.CheckInvariants(); err != nil {
-		return fail("parallel final invariants (K=%d): %v", c.Epoch, err)
+	var total int64
+	for _, tr := range c.Cfg.Traces {
+		total += int64(len(tr))
 	}
 
-	ss, sp := serial.Stats(), parallel.Stats()
-	if !reflect.DeepEqual(ss, sp) {
+	// The reference: Step one access at a time, keeping the counters at
+	// every point the inspector must fire — each stride multiple, and the
+	// end of the run when it stops off the grid.
+	var want []int64
+	for p := c.InspectEvery; p <= total; p += c.InspectEvery {
+		want = append(want, p)
+	}
+	if total%c.InspectEvery != 0 {
+		want = append(want, total)
+	}
+	var wantStats []multicore.Stats
+	for done := int64(0); ; {
+		more, err := ref.Step()
+		if err != nil {
+			return fail("Step at access %d: coherence violation: %v", done, err)
+		}
+		if !more {
+			break
+		}
+		done++
+		if len(wantStats) < len(want) && done == want[len(wantStats)] {
+			wantStats = append(wantStats, ref.Stats())
+		}
+	}
+
+	var fired []int64
+	var firedStats []multicore.Stats
+	run.SetInspector(c.InspectEvery, func(done int64) {
+		fired = append(fired, done)
+		firedStats = append(firedStats, run.Stats())
+	})
+	var badCheckpoint int64 = -1
+	var lastCheckpoint int64
+	err = run.RunContext(context.Background(), c.CheckEvery, func(done int64) {
+		if done != total && done%int64(c.CheckEvery) != 0 && badCheckpoint < 0 {
+			badCheckpoint = done
+		}
+		lastCheckpoint = done
+	})
+	if err != nil {
+		return fail("RunContext: %v", err)
+	}
+	strides := fmt.Sprintf("check=%d inspect=%d", c.CheckEvery, c.InspectEvery)
+	if badCheckpoint >= 0 || lastCheckpoint != total {
+		return fail("%s: checkpoint at %d off the stride, last at %d of %d", strides, badCheckpoint, lastCheckpoint, total)
+	}
+	if !reflect.DeepEqual(fired, want) {
+		return fail("%s: inspector fired at %v, want %v", strides, fired, want)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(firedStats[i], wantStats[i]) {
+			return fail("%s: counters at inspection %d (access %d) diverge:\nStep:       %+v\nRunContext: %+v",
+				strides, i, want[i], wantStats[i], firedStats[i])
+		}
+	}
+
+	if err := ref.CheckInvariants(); err != nil {
+		return fail("reference final invariants: %v", err)
+	}
+	if err := run.CheckInvariants(); err != nil {
+		return fail("%s: RunContext final invariants: %v", strides, err)
+	}
+	ss, sr := ref.Stats(), run.Stats()
+	if !reflect.DeepEqual(ss, sr) {
 		for i := range ss.Cores {
-			if !reflect.DeepEqual(ss.Cores[i], sp.Cores[i]) {
-				return fail("K=%d: core %d stats diverge:\nserial:   %+v\nparallel: %+v",
-					c.Epoch, i, ss.Cores[i], sp.Cores[i])
+			if !reflect.DeepEqual(ss.Cores[i], sr.Cores[i]) {
+				return fail("%s: core %d stats diverge:\nStep:       %+v\nRunContext: %+v",
+					strides, i, ss.Cores[i], sr.Cores[i])
 			}
 		}
-		return fail("K=%d: machine stats diverge:\nserial:   bus=%+v l2=%+v ledger=%d/%d\nparallel: bus=%+v l2=%+v ledger=%d/%d",
-			c.Epoch, ss.Bus, ss.L2, ss.DirtyCreated, ss.DirtyRetired,
-			sp.Bus, sp.L2, sp.DirtyCreated, sp.DirtyRetired)
+		return fail("%s: machine stats diverge:\nStep:       bus=%+v l2=%+v ledger=%d/%d\nRunContext: bus=%+v l2=%+v ledger=%d/%d",
+			strides, ss.Bus, ss.L2, ss.DirtyCreated, ss.DirtyRetired,
+			sr.Bus, sr.L2, sr.DirtyCreated, sr.DirtyRetired)
 	}
-	for i := 0; i < serial.NumCores(); i++ {
-		if !reflect.DeepEqual(mcDumpLines(serial.L1(i)), mcDumpLines(parallel.L1(i))) {
-			return fail("K=%d: core %d L1 contents diverge", c.Epoch, i)
+	for i := 0; i < ref.NumCores(); i++ {
+		if !reflect.DeepEqual(mcDumpLines(ref.L1(i)), mcDumpLines(run.L1(i))) {
+			return fail("%s: core %d L1 contents diverge", strides, i)
 		}
-		if ms, mp := serial.L2Mask(i), parallel.L2Mask(i); ms != mp {
-			return fail("K=%d: core %d L2 mask diverges: %s vs %s", c.Epoch, i, ms, mp)
+		if ms, mr := ref.L2Mask(i), run.L2Mask(i); ms != mr {
+			return fail("%s: core %d L2 mask diverges: %s vs %s", strides, i, ms, mr)
 		}
 	}
-	if !reflect.DeepEqual(mcDumpLines(serial.L2()), mcDumpLines(parallel.L2())) {
-		return fail("K=%d: L2 contents diverge", c.Epoch)
+	if !reflect.DeepEqual(mcDumpLines(ref.L2()), mcDumpLines(run.L2())) {
+		return fail("%s: L2 contents diverge", strides)
 	}
 
 	// The sweep must exercise real machines: a case with no bus or L2

@@ -2,16 +2,13 @@ package conform
 
 import "testing"
 
-// The serial-equivalence acceptance sweep: hundreds of seeded machines —
-// geometries, core counts, epoch lengths, replacement policies, L2
-// partitions, mid-run remap schedules and the Checks mode all drawn from
-// the seed — run through the serial and epoch-parallel steppers and
-// compared on every counter, the full cache contents and the final column
-// masks. Checks-on cases verify coherence invariants live at every barrier;
-// checks-off cases exercise the production merge path (local-hit tails,
-// direct-execution tail-window conflicts) and still end with the full
-// structural invariant walk. Run under -race by `make conformance`, this is
-// also the epoch stepper's data-race stress.
+// The run-loop equivalence acceptance sweep: hundreds of seeded machines —
+// geometries, core counts, replacement policies, L2 partitions, mid-run
+// remap schedules and the checkpoint and inspector strides all drawn from
+// the seed — run through Step with live invariant checks and through the
+// batched checks-off RunContext, and are compared on every counter, the
+// counters at every inspection, the event positions, the full cache
+// contents and the final column masks.
 func TestMulticoreSerialEquivalenceSweep(t *testing.T) {
 	cases := 500
 	if testing.Short() {
@@ -20,21 +17,30 @@ func TestMulticoreSerialEquivalenceSweep(t *testing.T) {
 	for seed := int64(1); seed <= int64(cases); seed++ {
 		c := NewMCCase(seed)
 		if d := RunMCCase(c); d != nil {
-			t.Fatalf("seed %d (cores=%d epoch=%d partition=%v remap=%d events): %v",
-				seed, len(c.Cfg.Traces), c.Epoch, c.Partition, len(c.Remap), d)
+			t.Fatalf("seed %d (cores=%d check=%d inspect=%d partition=%v remap=%d events): %v",
+				seed, len(c.Cfg.Traces), c.CheckEvery, c.InspectEvery, c.Partition, len(c.Remap), d)
 		}
 	}
 }
 
 // The sweep's case generator must actually produce the variety it claims:
-// across the first 100 seeds every epoch length in the axis, partitioned and
+// across the first 100 seeds every checkpoint and inspector stride in the
+// axis, runs that end off the inspector grid, partitioned and
 // unpartitioned machines, and at least one remap schedule have to appear.
 func TestMCCaseGeneratorCoverage(t *testing.T) {
-	epochs := map[int64]bool{}
-	partitioned, unpartitioned, remapped, checksOn, checksOff := 0, 0, 0, 0, 0
+	checks, inspects := map[int64]bool{}, map[int64]bool{}
+	partitioned, unpartitioned, remapped, offGrid := 0, 0, 0, 0
 	for seed := int64(1); seed <= 100; seed++ {
 		c := NewMCCase(seed)
-		epochs[c.Epoch] = true
+		checks[int64(c.CheckEvery)] = true
+		inspects[c.InspectEvery] = true
+		var total int64
+		for _, tr := range c.Cfg.Traces {
+			total += int64(len(tr))
+		}
+		if total%c.InspectEvery != 0 {
+			offGrid++
+		}
 		if c.Partition != nil {
 			partitioned++
 		} else {
@@ -43,25 +49,17 @@ func TestMCCaseGeneratorCoverage(t *testing.T) {
 		if len(c.Remap) > 0 {
 			remapped++
 		}
-		if c.Cfg.Checks {
-			checksOn++
-		} else {
-			checksOff++
+	}
+	for _, k := range mcStrides {
+		if !checks[k] {
+			t.Errorf("checkpoint stride %d never drawn", k)
+		}
+		if !inspects[k] {
+			t.Errorf("inspector stride %d never drawn", k)
 		}
 	}
-	for _, k := range mcEpochs {
-		if !epochs[k] {
-			t.Errorf("epoch length %d never drawn", k)
-		}
-	}
-	if partitioned == 0 || unpartitioned == 0 || remapped == 0 {
-		t.Errorf("axis collapsed: partitioned=%d unpartitioned=%d remapped=%d",
-			partitioned, unpartitioned, remapped)
-	}
-	// Checks gates two structurally different merge paths (per-hit note
-	// records vs folded local-hit tails); the sweep must run both, and
-	// neither may dwindle to a token share.
-	if checksOn < 25 || checksOff < 25 {
-		t.Errorf("checks axis collapsed: on=%d off=%d", checksOn, checksOff)
+	if partitioned == 0 || unpartitioned == 0 || remapped == 0 || offGrid == 0 {
+		t.Errorf("axis collapsed: partitioned=%d unpartitioned=%d remapped=%d off-grid=%d",
+			partitioned, unpartitioned, remapped, offGrid)
 	}
 }

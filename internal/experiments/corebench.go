@@ -12,34 +12,16 @@ import (
 	"colcache/internal/memtrace"
 )
 
-// Core benchmark: the regression record CI gates on (BENCH_CORE.json). Three
+// Core benchmark: the regression record CI gates on (BENCH_CORE.json). Two
 // measurements of the flat-state hot path:
 //
-//   - the serial multicore stepper's simulated-cycles-per-second at 1/2/4/8
-//     cores, the same rows as BENCH_PR5.json so the two files compare
-//     directly;
-//   - the epoch-parallel stepper on the identical workload (bit-identical
-//     results, different wall clock), so the speedup of buffered-epoch
-//     execution over per-access arbitration is itself a gated number;
+//   - the multicore stepper's simulated-cycles-per-second at 1/2/4/8 cores;
 //   - the chunked binary-trace replay's accesses-per-second through memsys,
 //     covering the decoder → batch → access pipeline.
 //
 // Every row is a best-of-Reps: wall-clock benchmarks on shared CI runners
 // see multi-x noise from neighbors, and the maximum over a few repetitions
 // estimates the machine's actual capability far more stably than a mean.
-
-// minParallelAdvantage is the structural floor on the epoch stepper at the
-// largest measured core count: parallel cycles/sec must beat the serial
-// stepper by at least this factor. Even on a single-vCPU host (no lookahead
-// overlap at all) eliminating the serial stepper's per-access O(cores)
-// arbitration scan buys well over this; on real multicore hosts the margin
-// is far larger. The floor catches the epoch stepper silently degrading to
-// per-access serial execution without being tuned to any one machine — so
-// it sits well below the ~1.45x a single-vCPU baseline measures, leaving
-// room for scheduler noise on throttled shared runners that best-of-reps
-// cannot fully absorb, while still failing hard on a true degradation
-// (which lands at 1.0x or below).
-const minParallelAdvantage = 1.05
 
 // minInspectThroughput is the structural floor on the inspect-on row: the
 // serial stepper with a frame capture attached at the default stride must
@@ -52,10 +34,9 @@ const minInspectThroughput = 0.95
 
 // CoreBench is the committed benchmark snapshot.
 type CoreBench struct {
-	Reps            int             `json:"reps"`                      // repetitions per row; best kept
-	Stepper         []ScalingResult `json:"stepper"`                   // serial rows, same shape as BENCH_PR5
-	StepperParallel []ScalingResult `json:"stepperParallel,omitempty"` // epoch-parallel rows
-	StepperInspect  []ScalingResult `json:"stepperInspect,omitempty"`  // serial + frame capture at the default stride
+	Reps           int             `json:"reps"`                     // repetitions per row; best kept
+	Stepper        []ScalingResult `json:"stepper"`                  // serial rows
+	StepperInspect []ScalingResult `json:"stepperInspect,omitempty"` // serial + frame capture at the default stride
 	// InspectOverheadRatio is the best paired inspect/serial throughput
 	// ratio: each rep measures both steppers back to back and the maximum
 	// ratio over reps is kept, so common-mode host noise (frequency
@@ -90,22 +71,6 @@ func RunCoreBench(coreCounts []int, accessesPerCore, reps int) (*CoreBench, erro
 			}
 		}
 		out.Stepper = append(out.Stepper, best)
-	}
-	for _, n := range coreCounts {
-		if n < 2 {
-			continue // a 1-core machine falls back to the serial stepper
-		}
-		var best ScalingResult
-		for r := 0; r < reps; r++ {
-			rows, err := RunMulticoreScalingParallel([]int{n}, accessesPerCore, 0)
-			if err != nil {
-				return nil, err
-			}
-			if rows[0].CyclesPerSec > best.CyclesPerSec {
-				best = rows[0]
-			}
-		}
-		out.StepperParallel = append(out.StepperParallel, best)
 	}
 	// One inspect-on row at the largest core count: the capture overhead is
 	// per-frame, not per-core, so one machine size gates it. The overhead
@@ -195,14 +160,11 @@ func runReplayBench(accesses int64, reps int) (ReplayBench, error) {
 // skips rows is not a gate.
 func CompareCoreBench(current, baseline *CoreBench, tolerance float64) []string {
 	problems := compareRows("serial", current.Stepper, baseline.Stepper, tolerance)
-	problems = append(problems,
-		compareRows("parallel", current.StepperParallel, baseline.StepperParallel, tolerance)...)
 	if floor := baseline.Replay.AccessesPerSec * (1 - tolerance); current.Replay.AccessesPerSec < floor {
 		problems = append(problems, fmt.Sprintf(
 			"replay: %.0f accesses/sec is below the regression floor %.0f (baseline %.0f)",
 			current.Replay.AccessesPerSec, floor, baseline.Replay.AccessesPerSec))
 	}
-	problems = append(problems, checkParallelAdvantage(current)...)
 	problems = append(problems, checkInspectOverhead(current, baseline)...)
 	return problems
 }
@@ -265,47 +227,9 @@ func compareRows(label string, current, baseline []ScalingResult, tolerance floa
 	return problems
 }
 
-// checkParallelAdvantage enforces the structural floor: at the largest core
-// count measured by both steppers, the epoch-parallel stepper must beat the
-// serial stepper by minParallelAdvantage. This is machine-relative (both
-// numbers come from the same run on the same host), so it holds on noisy
-// shared runners where absolute floors cannot.
-func checkParallelAdvantage(cb *CoreBench) []string {
-	serial := make(map[int]ScalingResult, len(cb.Stepper))
-	for _, r := range cb.Stepper {
-		serial[r.Cores] = r
-	}
-	best := -1
-	for _, r := range cb.StepperParallel {
-		if _, ok := serial[r.Cores]; ok && r.Cores > best {
-			best = r.Cores
-		}
-	}
-	if best < 2 {
-		return nil
-	}
-	var par ScalingResult
-	for _, r := range cb.StepperParallel {
-		if r.Cores == best {
-			par = r
-		}
-	}
-	ser := serial[best]
-	if ser.CyclesPerSec <= 0 {
-		return nil
-	}
-	if ratio := par.CyclesPerSec / ser.CyclesPerSec; ratio < minParallelAdvantage {
-		return []string{fmt.Sprintf(
-			"parallel cores=%d: epoch stepper is only %.2fx the serial stepper (%.0f vs %.0f cycles/sec); structural floor is %.1fx",
-			best, ratio, par.CyclesPerSec, ser.CyclesPerSec, minParallelAdvantage)}
-	}
-	return nil
-}
-
 // CoreBenchTable renders the snapshot.
 func CoreBenchTable(cb *CoreBench) *Table {
-	rows := append(append([]ScalingResult{}, cb.Stepper...), cb.StepperParallel...)
-	rows = append(rows, cb.StepperInspect...)
+	rows := append(append([]ScalingResult{}, cb.Stepper...), cb.StepperInspect...)
 	t := ScalingTable(rows)
 	t.Title = fmt.Sprintf("Core benchmark (best of %d)", cb.Reps)
 	t.AddRow("replay", "-", fmt.Sprintf("%d", cb.Replay.Accesses), "-",

@@ -17,19 +17,13 @@ import (
 )
 
 // Multicore stepper throughput: how fast the machine simulates as the core
-// count grows, for both steppers. The serial stepper arbitrates every single
-// access (an O(cores) scan per access), so its throughput falls as cores are
-// added; the epoch-parallel stepper (multicore.RunParallel) executes each
-// core's window in a tight private loop and pays arbitration only per
-// buffered bus record, producing bit-identical results at a fraction of the
-// cost — plus host-parallel lookahead on multicore machines. Both rows are
-// the scaling record CI tracks, not a correctness experiment.
+// count grows. The stepper arbitrates every single access (an O(cores) scan
+// per access), so its throughput falls as cores are added. The rows are the
+// record the core benchmark gates, not a correctness experiment.
 
 // ScalingResult is one core count's throughput measurement.
 type ScalingResult struct {
 	Cores        int     `json:"cores"`
-	Parallel     bool    `json:"parallel,omitempty"`     // measured with the epoch-parallel stepper
-	EpochCycles  int64   `json:"epochCycles,omitempty"`  // epoch length K used when Parallel
 	InspectEvery int64   `json:"inspectEvery,omitempty"` // frame-capture stride when inspected
 	Accesses     int64   `json:"accesses"`               // total trace accesses simulated
 	SimCycles    int64   `json:"simCycles"`              // makespan of the co-run
@@ -53,71 +47,60 @@ func scalingTrace(i, accesses int) memtrace.Trace {
 	return tr
 }
 
-// RunMulticoreScaling measures serial-stepper throughput at each core count.
-// Every core replays the same idct trace (per-core seeds, disjoint 4GB
-// address windows) so the per-core work is identical across machine sizes.
-func RunMulticoreScaling(coreCounts []int, accessesPerCore int) ([]ScalingResult, error) {
-	return runScaling(coreCounts, accessesPerCore, false, 0)
-}
-
-// RunMulticoreScalingParallel measures the same workload through the
-// epoch-parallel stepper with the given epoch length (0 picks
-// multicore.DefaultEpochCycles). Results are bit-identical to the serial
-// stepper's; only the wall clock differs.
-func RunMulticoreScalingParallel(coreCounts []int, accessesPerCore int, epochCycles int64) ([]ScalingResult, error) {
-	if epochCycles <= 0 {
-		epochCycles = multicore.DefaultEpochCycles
+// scalingMachine builds the n-core benchmark machine: every core replays
+// the same idct trace (per-core seeds, disjoint 4GB address windows) so the
+// per-core work is identical across machine sizes.
+func scalingMachine(n, accessesPerCore int) (*multicore.Machine, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("experiments: scaling needs ≥1 core, got %d", n)
 	}
-	return runScaling(coreCounts, accessesPerCore, true, epochCycles)
+	traces := make([]memtrace.Trace, n)
+	for i := range traces {
+		traces[i] = scalingTrace(i, accessesPerCore)
+	}
+	return multicore.New(multicore.Config{
+		Geometry:    memory.MustGeometry(32, 4096),
+		L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
+		L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
+		Timing:      memsys.DefaultTiming,
+		L2HitCycles: 6,
+		Traces:      traces,
+	})
 }
 
-func runScaling(coreCounts []int, accessesPerCore int, parallel bool, epochCycles int64) ([]ScalingResult, error) {
+// timeRun times run on m and returns the scaling row for it.
+func timeRun(m *multicore.Machine, accessesPerCore int, run func() error) (ScalingResult, error) {
+	// Trace construction allocates tens of megabytes; collect now so a
+	// background mark phase does not steal CPU inside the timed window.
+	runtime.GC()
+	start := time.Now()
+	if err := run(); err != nil {
+		return ScalingResult{}, err
+	}
+	wall := time.Since(start).Seconds()
+	r := ScalingResult{
+		Cores:       m.NumCores(),
+		Accesses:    int64(m.NumCores()) * int64(accessesPerCore),
+		SimCycles:   m.Stats().Cycles,
+		WallSeconds: wall,
+	}
+	if wall > 0 {
+		r.CyclesPerSec = float64(r.SimCycles) / wall
+	}
+	return r, nil
+}
+
+// RunMulticoreScaling measures stepper throughput at each core count.
+func RunMulticoreScaling(coreCounts []int, accessesPerCore int) ([]ScalingResult, error) {
 	var out []ScalingResult
 	for _, n := range coreCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("experiments: scaling needs ≥1 core, got %d", n)
-		}
-		traces := make([]memtrace.Trace, n)
-		for i := range traces {
-			traces[i] = scalingTrace(i, accessesPerCore)
-		}
-		m, err := multicore.New(multicore.Config{
-			Geometry:    memory.MustGeometry(32, 4096),
-			L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
-			L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
-			Timing:      memsys.DefaultTiming,
-			L2HitCycles: 6,
-			Traces:      traces,
-		})
+		m, err := scalingMachine(n, accessesPerCore)
 		if err != nil {
 			return nil, err
 		}
-		// Trace construction above allocates tens of megabytes; collect now so
-		// a background mark phase does not steal CPU inside the timed window.
-		runtime.GC()
-		start := time.Now()
-		if parallel {
-			err = m.RunParallel(epochCycles)
-		} else {
-			err = m.Run()
-		}
+		r, err := timeRun(m, accessesPerCore, m.Run)
 		if err != nil {
 			return nil, err
-		}
-		wall := time.Since(start).Seconds()
-		st := m.Stats()
-		r := ScalingResult{
-			Cores:       n,
-			Accesses:    int64(n) * int64(accessesPerCore),
-			SimCycles:   st.Cycles,
-			WallSeconds: wall,
-		}
-		if parallel {
-			r.Parallel = true
-			r.EpochCycles = epochCycles
-		}
-		if wall > 0 {
-			r.CyclesPerSec = float64(r.SimCycles) / wall
 		}
 		out = append(out, r)
 	}
@@ -144,21 +127,7 @@ func RunMulticoreScalingInspect(coreCounts []int, accessesPerCore int, every int
 	}
 	var out []ScalingResult
 	for _, n := range coreCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("experiments: scaling needs ≥1 core, got %d", n)
-		}
-		traces := make([]memtrace.Trace, n)
-		for i := range traces {
-			traces[i] = scalingTrace(i, accessesPerCore)
-		}
-		m, err := multicore.New(multicore.Config{
-			Geometry:    memory.MustGeometry(32, 4096),
-			L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
-			L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
-			Timing:      memsys.DefaultTiming,
-			L2HitCycles: 6,
-			Traces:      traces,
-		})
+		m, err := scalingMachine(n, accessesPerCore)
 		if err != nil {
 			return nil, err
 		}
@@ -171,26 +140,16 @@ func RunMulticoreScalingInspect(coreCounts []int, accessesPerCore int, every int
 				encoded += int64(len(b))
 			}
 		})
-		runtime.GC()
-		start := time.Now()
-		if err := m.RunContext(context.Background(), 0, nil); err != nil {
+		r, err := timeRun(m, accessesPerCore, func() error {
+			return m.RunContext(context.Background(), 0, nil)
+		})
+		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start).Seconds()
 		if encoded == 0 {
 			return nil, fmt.Errorf("experiments: inspect row captured no frames")
 		}
-		st := m.Stats()
-		r := ScalingResult{
-			Cores:        n,
-			InspectEvery: every,
-			Accesses:     int64(n) * int64(accessesPerCore),
-			SimCycles:    st.Cycles,
-			WallSeconds:  wall,
-		}
-		if wall > 0 {
-			r.CyclesPerSec = float64(r.SimCycles) / wall
-		}
+		r.InspectEvery = every
 		out = append(out, r)
 	}
 	return out, nil
@@ -204,9 +163,7 @@ func ScalingTable(rows []ScalingResult) *Table {
 	}
 	for _, r := range rows {
 		stepper := "serial"
-		if r.Parallel {
-			stepper = fmt.Sprintf("epoch K=%d", r.EpochCycles)
-		} else if r.InspectEvery > 0 {
+		if r.InspectEvery > 0 {
 			stepper = fmt.Sprintf("inspect K=%d", r.InspectEvery)
 		}
 		t.AddRow(stepper, fmt.Sprintf("%d", r.Cores), fmt.Sprintf("%d", r.Accesses),

@@ -137,8 +137,8 @@ func reduceTinted(cf *CacheFrame, c *cache.Cache, pt *vm.PageTable, lines [][]ca
 
 // MachineReducer reduces a multicore.Machine — per-core coherent L1s plus
 // the shared column-partitioned L2 — to occupancy frames. Drive it from the
-// machine's inspection hook; attaching one forces the serial stepper, so
-// the machine is always quiescent when Reduce runs.
+// machine's inspection hook, which fires between accesses, so the machine
+// is always quiescent when Reduce runs.
 type MachineReducer struct {
 	m *multicore.Machine
 

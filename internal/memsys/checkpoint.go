@@ -39,47 +39,10 @@ func (s *System) RunContextFrom(ctx context.Context, t memtrace.Trace, cp Checkp
 	if cp.Done > int64(len(t)) {
 		return 0, fmt.Errorf("memsys: checkpoint at %d past trace end %d", cp.Done, len(t))
 	}
-	every := opts.CheckEvery
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	var total int64
-	for _, a := range t[:cp.Done] {
-		total += s.Access(a)
-	}
+	total := s.Run(t[:cp.Done])
 	if total != cp.Cycles {
 		return total, fmt.Errorf("memsys: fast-forward to %d produced %d cycles, checkpoint recorded %d (checkpoint from a different spec or trace?)",
 			cp.Done, total, cp.Cycles)
 	}
-	// Inspection resumes on the same absolute stride grid the interrupted
-	// run used, so a resumed job's frame sequence continues where the old
-	// one stopped instead of phase-shifting by the checkpoint position.
-	inspect := 0
-	nextInspect := 0
-	if opts.OnInspect != nil && opts.InspectEvery > 0 {
-		inspect = opts.InspectEvery
-		nextInspect = (int(cp.Done)/inspect + 1) * inspect
-	}
-	for i := int(cp.Done); i < len(t); i++ {
-		total += s.Access(t[i])
-		if i+1 == nextInspect {
-			opts.OnInspect(i+1, s.Stats())
-			nextInspect += inspect
-		}
-		if (i+1)%every == 0 {
-			if opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(i+1, s.Stats())
-			}
-			if err := ctx.Err(); err != nil {
-				return total, err
-			}
-		}
-	}
-	if inspect > 0 && nextInspect != len(t)+inspect {
-		opts.OnInspect(len(t), s.Stats())
-	}
-	if opts.OnCheckpoint != nil {
-		opts.OnCheckpoint(len(t), s.Stats())
-	}
-	return total, ctx.Err()
+	return s.runFrom(ctx, t, int(cp.Done), total, opts)
 }

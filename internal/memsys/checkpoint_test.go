@@ -3,6 +3,7 @@ package memsys
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"colcache/internal/memtrace"
@@ -59,6 +60,61 @@ func TestRunContextFromMatchesUninterrupted(t *testing.T) {
 		if sys.Stats() != wantStats {
 			t.Fatalf("cutoff %d: stats diverged:\n resumed %+v\n    want %+v", cutoff, sys.Stats(), wantStats)
 		}
+	}
+}
+
+// A resume from a checkpoint off both stride grids, with an inspector
+// attached, must fire the inspections and checkpoints the uninterrupted run
+// fires after that point — same positions, same statistics — and end with
+// the same cycles and stats.
+func TestRunContextFromOffGridWithInspector(t *testing.T) {
+	tr := mixedTrace(20000)
+	type event struct {
+		inspect bool
+		done    int
+		st      Stats
+	}
+	record := func(evs *[]event) RunOptions {
+		return RunOptions{
+			CheckEvery:   1024,
+			InspectEvery: 700,
+			OnInspect:    func(done int, st Stats) { *evs = append(*evs, event{true, done, st}) },
+			OnCheckpoint: func(done int, st Stats) { *evs = append(*evs, event{false, done, st}) },
+		}
+	}
+	var want []event
+	ref := testSystem(t)
+	wantCycles, err := ref.RunContext(context.Background(), tr, record(&want))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const cutoff = 5001 // a multiple of neither 1024 nor 700
+	pre := testSystem(t)
+	cp := Checkpoint{Done: cutoff}
+	for _, a := range tr[:cutoff] {
+		cp.Cycles += pre.Access(a)
+	}
+	var got []event
+	sys := testSystem(t)
+	gotCycles, err := sys.RunContextFrom(context.Background(), tr, cp, record(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCycles != wantCycles || sys.Stats() != ref.Stats() {
+		t.Fatalf("resumed run: %d cycles %+v, uninterrupted %d cycles %+v", gotCycles, sys.Stats(), wantCycles, ref.Stats())
+	}
+	var tail []event
+	for _, e := range want {
+		if e.done > cutoff {
+			tail = append(tail, e)
+		}
+	}
+	if !reflect.DeepEqual(got, tail) {
+		t.Fatalf("resumed events diverge from the uninterrupted run's tail: got %d events, want %d", len(got), len(tail))
+	}
+	if len(tail) < 20 || tail[0].done != 5120 || !tail[1].inspect || tail[1].done != 5600 {
+		t.Fatalf("degenerate event tail: %d events, first %+v", len(tail), tail[0])
 	}
 }
 

@@ -352,31 +352,44 @@ const DefaultCheckEvery = 4096
 // shutdown) and scrape live statistics without touching the simulation's
 // own state. Returns the cycles consumed so far and ctx.Err() if canceled.
 func (s *System) RunContext(ctx context.Context, t memtrace.Trace, opts RunOptions) (int64, error) {
+	return s.runFrom(ctx, t, 0, 0, opts)
+}
+
+// runFrom executes t[start:] with RunContext's cadence and returns total
+// (the cycles t[:start] consumed) plus the cycles of the rest. Checkpoints
+// and inspections land on absolute trace positions, so a run resumed at
+// start continues the grid the interrupted one used. The trace runs in
+// batches to the next event (checkpoint, inspection or end of trace).
+func (s *System) runFrom(ctx context.Context, t memtrace.Trace, start int, total int64, opts RunOptions) (int64, error) {
 	every := opts.CheckEvery
 	if every <= 0 {
 		every = DefaultCheckEvery
 	}
 	inspect := 0
+	nextInspect := 0
 	if opts.OnInspect != nil && opts.InspectEvery > 0 {
 		inspect = opts.InspectEvery
+		nextInspect = (start/inspect + 1) * inspect
 	}
-	nextInspect := inspect
-	var total int64
-	for i, a := range t {
-		total += s.Access(a)
-		if i+1 == nextInspect {
-			opts.OnInspect(i+1, s.Stats())
+	nextCheck := (start/every + 1) * every
+	for i := start; i < len(t); {
+		end := min(len(t), nextCheck)
+		if inspect > 0 {
+			end = min(end, nextInspect)
+		}
+		total += s.Run(t[i:end])
+		i = end
+		if i == nextInspect {
+			opts.OnInspect(i, s.Stats())
 			nextInspect += inspect
 		}
-		if (i+1)%every == 0 {
-			if err := ctx.Err(); err != nil {
-				if opts.OnCheckpoint != nil {
-					opts.OnCheckpoint(i+1, s.Stats())
-				}
-				return total, err
-			}
+		if i == nextCheck {
+			nextCheck += every
 			if opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(i+1, s.Stats())
+				opts.OnCheckpoint(i, s.Stats())
+			}
+			if err := ctx.Err(); err != nil {
+				return total, err
 			}
 		}
 	}

@@ -60,9 +60,7 @@ func (s *System) Replay(ctx context.Context, d *memtrace.Decoder, opts ReplayOpt
 		if opts.MaxAccesses > 0 && done+int64(n) > opts.MaxAccesses {
 			return done, cycles, fmt.Errorf("%w (limit %d)", memtrace.ErrTraceTooLarge, opts.MaxAccesses)
 		}
-		for _, a := range chunk[:n] {
-			cycles += s.Access(a)
-		}
+		cycles += s.Run(chunk[:n])
 		done += int64(n)
 		checkpoint()
 		if err := ctx.Err(); err != nil {

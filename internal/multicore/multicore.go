@@ -10,16 +10,13 @@
 // mask held in a second tint table — the arena the adaptive controller
 // (internal/controller) can steer at runtime.
 //
-// The default stepper (Run/RunContext) is serial and deterministic: each
-// step picks the core with the smallest local cycle count (ties break to
-// the lowest core index — fixed round-robin arbitration) and executes its
-// next trace access to completion, including every bus transaction it
-// triggers. The epoch-parallel stepper (RunParallel, see epoch.go) runs
-// each core's lookahead on its own goroutine and replays the buffered bus
-// transactions in exactly that serial arbitration order at epoch barriers,
-// so its results are bit-identical to the serial stepper's for any epoch
-// length. Runs are therefore reproducible bit-for-bit at any host
-// parallelism either way; the experiment runner's -jobs knob only fans out
+// The stepper is serial and deterministic: each step picks the core with
+// the smallest local cycle count (ties break to the lowest core index —
+// fixed round-robin arbitration) and executes its next trace access to
+// completion, including every bus transaction it triggers. Step is the
+// reference definition of that arbitration; Run and RunContext batch the
+// same loop between events. Runs are therefore reproducible bit-for-bit at
+// any host parallelism; the experiment runner's -jobs knob only fans out
 // across independent machines.
 package multicore
 
@@ -180,11 +177,7 @@ type Machine struct {
 	observer memsys.AccessObserver
 
 	// Inspection hook (SetInspector): fired at exact global access counts
-	// by the serial stepper's RunContext. RunParallelContext falls back to
-	// the serial stepper while an inspector is attached — epoch barriers
-	// land at epoch-length-dependent access counts, so only the serial
-	// schedule can hit the exact deterministic stride positions that make
-	// frame sequences bit-identical across entry points.
+	// by RunContext.
 	inspectEvery int64
 	inspectFn    func(done int64)
 
@@ -196,28 +189,18 @@ type Machine struct {
 	violation error
 
 	// Deterministic L2 repartition schedule: events fire inside l2Demand at
-	// exact shared-L2 access counts, so the serial and epoch-parallel
-	// steppers apply them at the same global sequence point.
+	// exact shared-L2 access counts.
 	remapSched []RemapEvent
 	remapPos   int
 	l2Demands  int64
-
-	// Epoch-parallel stepper state (see epoch.go).
-	estats EpochStats
-
-	// testMergeHook, when non-nil, sees every buffered record just before
-	// the barrier merge applies it. Tests inject coherence-breaking
-	// mutations through it to prove the invariant checker sees through the
-	// parallel path.
-	testMergeHook func(coreIdx int, r *epochRec)
 }
 
 // RemapEvent rewrites core Core's shared-L2 column mask immediately after
 // the machine's AfterL2Accesses-th shared-L2 demand access. A schedule of
 // these events is the deterministic mid-run repartition mechanism: the
-// trigger is a point in the global L2 access order, which the serial and
-// epoch-parallel steppers produce identically, so a schedule never breaks
-// their equivalence the way a wall-clock or per-step trigger would.
+// trigger is a point in the global L2 access order, which every run loop
+// produces identically, so a schedule never makes the result depend on how
+// a run was sliced the way a wall-clock trigger would.
 type RemapEvent struct {
 	AfterL2Accesses int64
 	Core            int
@@ -364,8 +347,16 @@ func (m *Machine) SetL2Observer(o memsys.AccessObserver) { m.observer = o }
 func (m *Machine) PageTable(i int) *vm.PageTable { return m.cores[i].pt }
 
 // AccessesDone returns the total number of trace accesses executed so far,
-// summed over cores — the serial stepper's global step count.
+// summed over cores — the stepper's global step count.
 func (m *Machine) AccessesDone() int64 { return m.accessesDone() }
+
+func (m *Machine) accessesDone() int64 {
+	var n int64
+	for _, c := range m.cores {
+		n += int64(c.pos)
+	}
+	return n
+}
 
 // RemapsFired returns how many events of the deterministic remap schedule
 // have applied so far.
@@ -392,13 +383,9 @@ func (m *Machine) CoreStatsAt(i int) CoreStats {
 
 // SetInspector registers fn to run every `every` trace accesses (exact
 // global access counts), plus once at the end of a run that stops off the
-// stride grid; nil detaches. The hook fires inside RunContext — and inside
-// RunParallelContext, which falls back to the serial stepper while an
-// inspector is attached so the frame sequence is bit-identical from either
-// entry point (epoch barriers land at epoch-dependent access counts and
-// cannot hit the stride positions exactly). fn runs on the simulation
-// goroutine with the machine quiescent, so it may read caches, tint tables
-// and page tables directly.
+// stride grid; nil detaches. The hook fires inside RunContext. fn runs on
+// the simulation goroutine with the machine quiescent, so it may read
+// caches, tint tables and page tables directly.
 func (m *Machine) SetInspector(every int64, fn func(done int64)) {
 	m.inspectEvery = every
 	m.inspectFn = fn

@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"context"
+	"math"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
@@ -42,58 +43,40 @@ func (m *Machine) Step() (bool, error) {
 }
 
 // Run steps the machine until every trace is exhausted (or a check fails).
-// With checks off it uses a tight loop that skips Step's per-step violation
-// bookkeeping; the arbitration (min-cycles core, lowest index on ties) is
-// identical, so runs are bit-for-bit the same either way.
+// It is RunContext without the events: one batch to the end of the traces.
 func (m *Machine) Run() error {
-	if m.check == nil && m.violation == nil {
-		if len(m.cores) == 1 {
-			// Single core: no arbitration, so the instruction and cycle
-			// totals can ride in locals (registers) across the whole trace
-			// and land on the core once. access still charges rare-path
-			// cycles (writeback races, L2 demand) to c.cycles directly;
-			// the two pools are disjoint, so the final flush is exact.
-			c := m.cores[0]
-			var ins, cyc int64
-			for _, a := range c.trace[c.pos:] {
-				ins += int64(a.Think) + 1
-				cyc += m.access(c, a)
-			}
-			c.instructions += ins
-			c.cycles += cyc
-			c.pos = len(c.trace)
-			return nil
+	if m.check == nil && m.violation == nil && len(m.cores) == 1 {
+		// Single core: no arbitration, so the instruction and cycle
+		// totals can ride in locals (registers) across the whole trace
+		// and land on the core once. access still charges rare-path
+		// cycles (writeback races, L2 demand) to c.cycles directly;
+		// the two pools are disjoint, so the final flush is exact.
+		c := m.cores[0]
+		var ins, cyc int64
+		for _, a := range c.trace[c.pos:] {
+			ins += int64(a.Think) + 1
+			cyc += m.access(c, a)
 		}
-		for {
-			var next *core
-			for _, c := range m.cores {
-				if c.pos >= len(c.trace) {
-					continue
-				}
-				if next == nil || c.cycles < next.cycles {
-					next = c
-				}
-			}
-			if next == nil {
-				return nil
-			}
-			next.instructions += int64(next.trace[next.pos].Think) + 1
-			next.cycles += m.access(next, next.trace[next.pos])
-			next.pos++
-		}
+		c.instructions += ins
+		c.cycles += cyc
+		c.pos = len(c.trace)
+		return nil
 	}
-	for {
-		more, err := m.Step()
-		if err != nil || !more {
-			return err
-		}
-	}
+	_, err := m.batch(math.MaxInt64)
+	return err
 }
+
+// RunParallel is Run. It is kept only because the repository benchmark's
+// driver (perfbench) still calls it; the alias goes when that call does.
+func (m *Machine) RunParallel(epochCycles int64) error { return m.Run() }
 
 // RunContext is Run with cooperative cancellation: every checkEvery steps
 // (zero or negative means 4096, memsys's default stride) the context is
 // polled and onCheckpoint, when non-nil, receives the number of steps
-// executed so far.
+// executed so far. An attached inspector (SetInspector) fires at its exact
+// global access counts. The run proceeds in batches to the next of those
+// events, so the bookkeeping amortizes over thousands of accesses and an
+// attached inspector costs only its frame captures.
 func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint func(done int64)) error {
 	if checkEvery <= 0 {
 		checkEvery = 4096
@@ -108,16 +91,22 @@ func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint f
 		inspect = m.inspectEvery
 		nextInspect = (base/inspect + 1) * inspect
 	}
-	if m.check == nil && m.violation == nil {
-		return m.runContextFast(ctx, int64(checkEvery), base, inspect, nextInspect, onCheckpoint)
-	}
 	var done int64
+	untilCheck := int64(checkEvery)
 	for {
-		more, err := m.Step()
+		// Run up to the nearest event (checkpoint or inspection).
+		limit := untilCheck
+		if inspect > 0 {
+			if ui := nextInspect - (base + done); ui < limit {
+				limit = ui
+			}
+		}
+		ran, err := m.batch(limit)
+		done += ran
 		if err != nil {
 			return err
 		}
-		if !more {
+		if ran < limit { // every trace exhausted
 			if inspect > 0 && base+done != nextInspect-inspect {
 				m.inspectFn(base + done)
 			}
@@ -126,12 +115,12 @@ func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint f
 			}
 			return ctx.Err()
 		}
-		done++
-		if base+done == nextInspect {
+		if inspect > 0 && base+done == nextInspect {
 			m.inspectFn(base + done)
 			nextInspect += inspect
 		}
-		if done%int64(checkEvery) == 0 {
+		if untilCheck -= ran; untilCheck == 0 {
+			untilCheck = int64(checkEvery)
 			if onCheckpoint != nil {
 				onCheckpoint(done)
 			}
@@ -142,12 +131,31 @@ func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint f
 	}
 }
 
+// batch executes at most limit accesses and returns how many ran (short
+// only when every trace is exhausted, or when a check failed, which it
+// returns). With checks on it steps through Step, which verifies the
+// coherence invariants after every access.
+func (m *Machine) batch(limit int64) (int64, error) {
+	if m.check == nil && m.violation == nil {
+		return m.runBatch(limit), nil
+	}
+	var ran int64
+	for ; ran < limit; ran++ {
+		more, err := m.Step()
+		if err != nil || !more {
+			return ran, err
+		}
+	}
+	return ran, nil
+}
+
 // runBatch executes at most limit accesses of the tight checks-off
-// arbitration loop and returns how many ran (short only when every trace
-// is exhausted). It must stay a small dedicated function: inlining this
-// loop into runContextFast's stride bookkeeping puts enough variables
-// live across the m.access call that the register allocator spills on
-// every iteration, costing ~25% of the stepper's throughput.
+// arbitration loop — Step's arbitration without its violation bookkeeping —
+// and returns how many ran (short only when every trace is exhausted). It
+// must stay a small dedicated function: inlining this loop into
+// RunContext's event bookkeeping puts enough variables live across the
+// m.access call that the register allocator spills on every iteration,
+// costing ~25% of the stepper's throughput.
 func (m *Machine) runBatch(limit int64) int64 {
 	var ran int64
 	for ran < limit {
@@ -169,49 +177,6 @@ func (m *Machine) runBatch(limit int64) int64 {
 		ran++
 	}
 	return ran
-}
-
-// runContextFast is RunContext's checks-off hot loop: the same tight
-// arbitration Run uses (so the interleaving is bit-identical), batched to
-// the nearest stride boundary so the inspection and checkpoint bookkeeping
-// amortizes over thousands of accesses. This keeps an attached inspector's
-// cost to the frame captures themselves.
-func (m *Machine) runContextFast(ctx context.Context, checkEvery, base, inspect, nextInspect int64, onCheckpoint func(done int64)) error {
-	var done int64
-	untilCheck := checkEvery
-	for {
-		// Run up to the nearest stride boundary (checkpoint or inspection).
-		batch := untilCheck
-		if inspect > 0 {
-			if ui := nextInspect - (base + done); ui < batch {
-				batch = ui
-			}
-		}
-		ran := m.runBatch(batch)
-		done += ran
-		if ran < batch { // every trace exhausted
-			if inspect > 0 && base+done != nextInspect-inspect {
-				m.inspectFn(base + done)
-			}
-			if onCheckpoint != nil {
-				onCheckpoint(done)
-			}
-			return ctx.Err()
-		}
-		if inspect > 0 && base+done == nextInspect {
-			m.inspectFn(base + done)
-			nextInspect += inspect
-		}
-		if untilCheck -= ran; untilCheck == 0 {
-			untilCheck = checkEvery
-			if onCheckpoint != nil {
-				onCheckpoint(done)
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // access executes one trace access on core c, including every bus

@@ -151,9 +151,6 @@ func (s *Server) wireSimInspection(j *Job, b *Built, opts *memsys.RunOptions) {
 }
 
 // wireMulticoreInspection attaches frame capture to a multicore machine.
-// Note the stepper contract: an attached inspector forces the serial
-// stepper even when the spec asked for the epoch-parallel one, so the
-// frame sequence is bit-identical to a serial run by construction.
 func (s *Server) wireMulticoreInspection(j *Job, b *BuiltMulticore) {
 	sink := s.newFrameSink(j)
 	if sink == nil {

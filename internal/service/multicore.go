@@ -13,14 +13,8 @@ import (
 )
 
 // MaxCores bounds a multicore spec's core count: cores multiply a job's
-// simulated work linearly (the epoch-parallel stepper spreads the wall
-// clock across goroutines, but the work is still per-core).
+// simulated work linearly.
 const MaxCores = 16
-
-// MaxEpochCycles bounds a parallel spec's lookahead window: an epoch
-// snapshot is taken per window, so absurdly large values buy nothing, and
-// negative ones are meaningless.
-const MaxEpochCycles = 1 << 24
 
 func multicoreWithDefaults(mc colcache.MulticoreSpec) colcache.MulticoreSpec {
 	if mc.L2Sets == 0 {
@@ -58,12 +52,6 @@ func ValidateMulticore(spec colcache.SimSpec, lim Limits) error {
 	if mc.L2HitCycles < 0 || mc.L2HitCycles > 1<<20 {
 		return fmt.Errorf("multicore: l2_hit_cycles %d out of range", mc.L2HitCycles)
 	}
-	if mc.Epoch < 0 || mc.Epoch > MaxEpochCycles {
-		return fmt.Errorf("multicore: epoch %d: want [0,%d]", mc.Epoch, MaxEpochCycles)
-	}
-	if mc.Epoch > 0 && !mc.Parallel {
-		return fmt.Errorf("multicore: epoch is only meaningful with parallel: true")
-	}
 	for i, cs := range mc.Cores {
 		if err := validateWorkload(cs.Workload, lim); err != nil {
 			return fmt.Errorf("multicore: cores[%d]: %w", i, err)
@@ -82,8 +70,6 @@ type BuiltMulticore struct {
 	M             *multicore.Machine
 	TraceAccesses int64
 	Workloads     []string
-	Parallel      bool  // run the epoch-parallel stepper
-	Epoch         int64 // lookahead cycles per epoch when Parallel
 	// SharedAddresses records whether the cores' traces share one address
 	// space; when false each core's trace was shifted into the i<<32
 	// window and shared-L2 line ownership is derivable from the address.
@@ -155,13 +141,6 @@ func BuildMulticore(spec colcache.SimSpec, lim Limits) (*BuiltMulticore, error) 
 		}
 	}
 	b.M = mach
-	b.Parallel = mc.Parallel
-	if b.Parallel {
-		b.Epoch = mc.Epoch
-		if b.Epoch == 0 {
-			b.Epoch = multicore.DefaultEpochCycles
-		}
-	}
 	return b, nil
 }
 

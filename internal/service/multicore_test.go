@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -84,48 +85,57 @@ func TestMulticoreRoundTrip(t *testing.T) {
 	}
 }
 
-// A parallel: true job must come back bit-identical to the serial run of
-// the same spec — the epoch-parallel stepper's equivalence claim holds
-// through the full service path, at more than one epoch length.
-func TestMulticoreParallelMatchesSerial(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueDepth: 8})
+// Bodies written for the retired epoch-parallel stepper still carry
+// "parallel" and "epoch". The lenient decoder drops them, so such a body is
+// the plain spec: same digest, and served from the plain spec's cached
+// result rather than simulated a second time.
+func TestMulticoreLegacyStepperFieldsHitCache(t *testing.T) {
+	plain := multicoreSpec("plain")
+	raw, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	mc := body["multicore"].(map[string]any)
+	mc["parallel"] = true
+	mc["epoch"] = 256
+	legacyRaw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy colcache.SimSpec
+	if err := json.Unmarshal(legacyRaw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := SimDigest(legacy, nil), SimDigest(plain, nil); got != want {
+		t.Fatalf("legacy body digest %s, plain spec digest %s", got, want)
+	}
+
+	srv := newDurable(t, t.TempDir(), Config{Workers: 2, QueueDepth: 8})
 	defer srv.Drain(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	run := func(label string, spec colcache.SimSpec) colcache.SimResult {
-		resp, body := postJSON(t, ts, "/v1/simulate", spec)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("%s: submit: HTTP %d: %s", label, resp.StatusCode, body)
-		}
-		var info colcache.JobInfo
-		if err := json.Unmarshal(body, &info); err != nil {
-			t.Fatal(err)
-		}
-		done := waitTerminal(t, ts, info.ID)
-		if done.State != colcache.StateDone {
-			t.Fatalf("%s: job ended %s: %s", label, done.State, done.Error)
-		}
-		return *done.Result
+	first := waitTerminal(t, ts, submitJob(t, ts, plain))
+	if first.State != colcache.StateDone {
+		t.Fatalf("plain job ended %s: %s", first.State, first.Error)
 	}
-
-	serial := run("serial", multicoreSpec("serial"))
-	for _, epoch := range []int64{0, 1, 256} {
-		spec := multicoreSpec("parallel")
-		spec.Multicore.Parallel = true
-		spec.Multicore.Epoch = epoch
-		par := run("parallel", spec)
-		if par.Cycles != serial.Cycles || par.Cache != serial.Cache ||
-			par.Multicore.Bus != serial.Multicore.Bus || par.Multicore.L2 != serial.Multicore.L2 {
-			t.Fatalf("epoch=%d: parallel result diverges from serial: %d vs %d cycles",
-				epoch, par.Cycles, serial.Cycles)
-		}
-		for i := range serial.Multicore.Cores {
-			s, p := serial.Multicore.Cores[i], par.Multicore.Cores[i]
-			if s.Cycles != p.Cycles || s.L1 != p.L1 || s.L2Accesses != p.L2Accesses {
-				t.Fatalf("epoch=%d: core %d diverges:\nserial:   %+v\nparallel: %+v", epoch, i, s, p)
-			}
-		}
+	resp, err := ts.Client().Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(legacyRaw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cached colcache.JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&cached); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !cached.Cached {
+		t.Fatalf("legacy body: HTTP %d cached=%v, want a cache hit", resp.StatusCode, cached.Cached)
+	}
+	if cached.Digest != first.Digest || cached.Result == nil || cached.Result.Cycles != first.Result.Cycles {
+		t.Fatalf("legacy body served %+v, want the plain spec's result (digest %s)", cached, first.Digest)
 	}
 }
 
@@ -147,25 +157,6 @@ func TestMulticoreSpecValidation(t *testing.T) {
 	withMaps.Maps = []colcache.MapSpec{{Base: 0, Size: 4096, Columns: []int{0}}}
 	if err := ValidateSim(withMaps, false, lim); err == nil {
 		t.Error("maps accepted alongside multicore")
-	}
-
-	epochOnly := multicoreSpec("epoch-only")
-	epochOnly.Multicore.Epoch = 64
-	if err := ValidateSim(epochOnly, false, lim); err == nil {
-		t.Error("epoch without parallel accepted")
-	}
-
-	hugeEpoch := multicoreSpec("huge-epoch")
-	hugeEpoch.Multicore.Parallel = true
-	hugeEpoch.Multicore.Epoch = MaxEpochCycles + 1
-	if err := ValidateSim(hugeEpoch, false, lim); err == nil {
-		t.Error("oversized epoch accepted")
-	}
-
-	okParallel := multicoreSpec("ok-parallel")
-	okParallel.Multicore.Parallel = true
-	if err := ValidateSim(okParallel, false, lim); err != nil {
-		t.Errorf("valid parallel multicore spec rejected: %v", err)
 	}
 
 	none := multicoreSpec("ok")

@@ -342,9 +342,8 @@ func (s *Server) runSimulate(ctx context.Context, j *Job) error {
 	return nil
 }
 
-// runMulticore executes a multicore co-run job — the deterministic serial
-// stepper, or the bit-identical epoch-parallel stepper when the spec asks
-// for it — with cooperative cancellation at the same checkpoint stride the
+// runMulticore executes a multicore co-run job on the deterministic
+// stepper with cooperative cancellation at the same checkpoint stride the
 // single-core path uses.
 func (s *Server) runMulticore(ctx context.Context, j *Job) error {
 	b, err := BuildMulticore(j.Spec, s.cfg.Limits)
@@ -353,14 +352,8 @@ func (s *Server) runMulticore(ctx context.Context, j *Job) error {
 	}
 	j.setRunning(nil)
 	s.wireMulticoreInspection(j, b)
-	run := b.M.RunContext
-	if b.Parallel {
-		run = func(ctx context.Context, checkEvery int, onCheckpoint func(int64)) error {
-			return b.M.RunParallelContext(ctx, b.Epoch, checkEvery, onCheckpoint)
-		}
-	}
 	var lastCycles, lastAccesses int64
-	err = run(ctx, s.cfg.CheckEvery, func(done int64) {
+	err = b.M.RunContext(ctx, s.cfg.CheckEvery, func(done int64) {
 		st := b.M.Stats()
 		var acc, miss, mem int64
 		for _, c := range st.Cores {

@@ -228,61 +228,6 @@ func (t *TLB) FlushAll() {
 	t.flushes++
 }
 
-// TLBSnapshot is a detached copy of a TLB's mutable state — every entry plus
-// the ASID and the statistics counters. The epoch-parallel multicore stepper
-// snapshots each core's TLB at epoch boundaries so a conflicting epoch can be
-// rolled back; entries are flattened into one contiguous slice so the copy is
-// a single pass. The zero value is ready to be filled by TLB.Snapshot.
-type TLBSnapshot struct {
-	entries   []tlbEntry
-	asid      uint16
-	clock     uint64
-	clockBase uint64
-	misses    int64
-	flushes   int64
-}
-
-// Snapshot copies the TLB's complete mutable state into dst, allocating only
-// when dst is nil or sized for a different TLB. The returned snapshot shares
-// nothing with the live TLB.
-func (t *TLB) Snapshot(dst *TLBSnapshot) *TLBSnapshot {
-	if dst == nil {
-		dst = &TLBSnapshot{}
-	}
-	if len(dst.entries) != t.cfg.Entries {
-		dst.entries = make([]tlbEntry, t.cfg.Entries)
-	}
-	i := 0
-	for _, set := range t.sets {
-		i += copy(dst.entries[i:], set)
-	}
-	dst.asid = t.asid
-	dst.clock = t.clock
-	dst.clockBase = t.clockBase
-	dst.misses = t.misses
-	dst.flushes = t.flushes
-	return dst
-}
-
-// Restore copies a snapshot taken from this TLB (same configuration) back
-// over the live state and drops the last-translation memo, which may point at
-// a slot the restore rewrote.
-func (t *TLB) Restore(s *TLBSnapshot) {
-	if len(s.entries) != t.cfg.Entries {
-		panic("vm: TLB Restore with a snapshot of a different shape")
-	}
-	i := 0
-	for _, set := range t.sets {
-		i += copy(set, s.entries[i:i+len(set)])
-	}
-	t.asid = s.asid
-	t.clock = s.clock
-	t.clockBase = s.clockBase
-	t.misses = s.misses
-	t.flushes = s.flushes
-	t.dropMemo()
-}
-
 // Resident reports whether page pn currently has a valid entry.
 func (t *TLB) Resident(pn uint64) bool {
 	for _, e := range t.sets[t.setOf(pn)] {
