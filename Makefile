@@ -13,6 +13,8 @@
 #                          (fail under (1-CORE_TOLERANCE) x baseline)
 #   benchcore-baseline   - re-measure and overwrite BENCH_CORE.json
 #   smoke                - trimmed paperbench run with shape checks
+#   paper-golden         - full default paperbench run, byte-compared with
+#                          cmd/paperbench/testdata/paperbench.golden
 #   servebench           - colserved under load (BENCH_PR3.json)
 #   cachebench           - durable colserved under a zipfian repeated-spec
 #                          load: memoization hit ratio + cached-path
@@ -37,7 +39,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench benchcore benchcore-baseline smoke servebench cachebench recovery fabric fabricbench conformance cover multicore watch ci
+.PHONY: build test race lint bench benchcore benchcore-baseline smoke paper-golden servebench cachebench recovery fabric fabricbench conformance cover multicore watch ci
 
 build:
 	$(GO) build ./...
@@ -93,6 +95,14 @@ benchcore-baseline:
 # shape checks against the paper's qualitative claims.
 smoke:
 	$(GO) run ./cmd/paperbench -quick
+
+# Every number of the full default evaluation, pinned: the stdout must be
+# byte-identical to the committed golden. A change that moves a paper
+# number on purpose regenerates the golden in the same commit.
+paper-golden:
+	$(GO) build -o /tmp/paperbench-golden ./cmd/paperbench
+	/tmp/paperbench-golden > /tmp/paperbench-golden.txt
+	cmp cmd/paperbench/testdata/paperbench.golden /tmp/paperbench-golden.txt
 
 # Serving benchmark: boot colserved, hammer it with colload, verify the
 # metrics ledger closes, and leave the report in BENCH_PR3.json.
@@ -249,4 +259,4 @@ cover:
 		} \
 		END { if (bad) { print "coverage below the 85% gate"; exit 1 } }'
 
-ci: build lint test race bench benchcore smoke servebench cachebench recovery fabric conformance cover multicore watch
+ci: build lint test race bench benchcore smoke paper-golden servebench cachebench recovery fabric conformance cover multicore watch

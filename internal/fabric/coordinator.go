@@ -2,6 +2,9 @@ package fabric
 
 import (
 	"bytes"
+	"crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,6 +105,11 @@ type Coordinator struct {
 	stream *http.Client
 	start  time.Time
 
+	// idPrefix is "f" plus a random boot nonce, so fabric IDs issued by a
+	// restarted coordinator never collide with the ones its predecessor
+	// handed out.
+	idPrefix string
+
 	mu      sync.Mutex
 	seq     int64
 	jobs    map[string]*routedJob
@@ -156,6 +164,13 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		byNode: make(map[string]int64),
 		stopc:  make(chan struct{}),
 	}
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		// Only toolchains before Go 1.24 return an error here (later ones
+		// abort the process); the boot time still differs across restarts.
+		binary.BigEndian.PutUint64(nonce[:], uint64(c.start.UnixNano()))
+	}
+	c.idPrefix = "f" + hex.EncodeToString(nonce[:])
 	c.mux.HandleFunc("POST /fabric/v1/heartbeat", c.handleHeartbeat)
 	c.mux.HandleFunc("GET /fabric/v1/nodes", c.handleNodes)
 	c.mux.HandleFunc("GET /fabric/v1/route/{digest}", c.handleRoute)
@@ -652,13 +667,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeShed(w, http.StatusServiceUnavailable, 1, "no worker accepted the submission")
 }
 
-// registerJob records a forwarded submission under a fresh fabric ID.
+// registerJob records a forwarded submission under a fresh fabric ID,
+// f<boot nonce>-<sequence>.
 func (c *Coordinator) registerJob(digest, kind, path, rawQuery, contentType string, body []byte, node, workerID string) *routedJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
 	j := &routedJob{
-		fabricID:    fmt.Sprintf("f%08d", c.seq),
+		fabricID:    fmt.Sprintf("%s-%08d", c.idPrefix, c.seq),
 		digest:      digest,
 		kind:        kind,
 		path:        path,

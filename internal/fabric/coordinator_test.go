@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -406,6 +407,69 @@ func TestCoordinatorRelaysInspectStream(t *testing.T) {
 	nresp.Body.Close()
 	if nresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job relay: HTTP %d, want 404", nresp.StatusCode)
+	}
+}
+
+// A restarted coordinator must not hand out its predecessor's fabric IDs: a
+// client still holding a pre-restart ID gets a 404 from the new process,
+// never somebody else's job. The restart swaps a fresh coordinator in behind
+// the same address, so the worker's heartbeat agent re-registers on its own.
+func TestCoordinatorRestartMintsFreshIDs(t *testing.T) {
+	cfg := CoordinatorConfig{PeerTTL: 300 * time.Millisecond, Logf: t.Logf}
+	var cur atomic.Pointer[Coordinator]
+	cur.Store(NewCoordinator(cfg))
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cur.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		front.Close()
+		cur.Load().Close()
+	})
+	startTestWorker(t, front.URL, "w1", service.Config{})
+
+	client := colcache.NewClient(front.URL, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// Each boot submits its own distinct specs, so every submission is
+	// forwarded fresh (never a cached relay) and gets a fabric ID.
+	submitBatch := func(sizeBase uint64) []string {
+		waitAlive(t, front.URL, 1)
+		var ids []string
+		for i := uint64(0); i < 3; i++ {
+			info := submitVia(t, front.URL, streamSpec(sizeBase+64*i))
+			if info.ID == "" {
+				t.Fatalf("fresh submission got no fabric ID: %+v", info)
+			}
+			if _, err := client.Wait(ctx, info.ID); err != nil {
+				t.Fatalf("wait %s: %v", info.ID, err)
+			}
+			ids = append(ids, info.ID)
+		}
+		return ids
+	}
+
+	before := submitBatch(4096)
+	cur.Swap(NewCoordinator(cfg)).Close()
+	after := submitBatch(8192)
+
+	seen := map[string]bool{}
+	for _, id := range before {
+		seen[id] = true
+	}
+	for _, id := range after {
+		if seen[id] {
+			t.Fatalf("restarted coordinator repeated fabric ID %s (before %v, after %v)", id, before, after)
+		}
+	}
+	for _, id := range before {
+		resp, err := http.Get(front.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatalf("poll %s: %v", id, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("pre-restart ID %s polled HTTP %d at the new coordinator, want 404", id, resp.StatusCode)
+		}
 	}
 }
 

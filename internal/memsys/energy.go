@@ -32,8 +32,8 @@ var DefaultEnergy = Energy{
 }
 
 // EnergyPJ returns the total energy consumed so far, in picojoules.
-// Tracking is always on (it is two integer adds per access) using
-// DefaultEnergy unless SetEnergyModel was called.
+// Tracking is always on, using DefaultEnergy unless SetEnergyModel was
+// called.
 func (s *System) EnergyPJ() int64 { return s.energyPJ }
 
 // SetEnergyModel replaces the per-event costs. Accumulated energy is kept.

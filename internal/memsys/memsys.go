@@ -197,7 +197,9 @@ func (s *System) SetAccessObserver(o AccessObserver) { s.observer = o }
 // Stats snapshots all counters. The snapshot is a detached copy — value
 // types all the way down, no pointers into the live machine — so it can be
 // published to another goroutine (a metrics scraper, a job-status handler)
-// while the simulation keeps running.
+// while the simulation keeps running. It is a full snapshot, not for
+// per-access use: a caller that needs one counter around each access reads
+// that counter (Cache().Stats(), EnergyPJ) or takes deltas across a batch.
 func (s *System) Stats() Stats {
 	st := Stats{
 		Instructions:       s.instructions,

@@ -170,6 +170,12 @@ func (rr *RoundRobin) runQuantum(idx int) bool {
 		rr.Sys.TLB().SetASID(uint16(idx))
 	}
 	quantum := rr.effectiveQuantum()
+	// Nothing but the scheduler runs the machine during a quantum, so
+	// the job's misses and energy are the deltas of the machine counters
+	// across it. Read them once per quantum, and only the small cache.Stats:
+	// at quantum 1 a quantum is a single access.
+	missesBefore := rr.Sys.Cache().Stats().Misses
+	energyBefore := rr.Sys.EnergyPJ()
 	var ran int64
 	for ran < quantum && !j.Done() {
 		a := j.Trace[j.pos]
@@ -177,8 +183,6 @@ func (rr *RoundRobin) runQuantum(idx int) bool {
 		if j.pos == len(j.Trace) {
 			j.pos = 0
 		}
-		before := rr.Sys.Stats().Cache.Misses
-		energyBefore := rr.Sys.EnergyPJ()
 		var cyc int64
 		if j.Mask != 0 {
 			cyc = rr.Sys.AccessMasked(a, j.Mask)
@@ -190,9 +194,9 @@ func (rr *RoundRobin) runQuantum(idx int) bool {
 		j.executed += instr
 		j.cycles += cyc
 		j.accesses++
-		j.misses += rr.Sys.Stats().Cache.Misses - before
-		j.energyPJ += rr.Sys.EnergyPJ() - energyBefore
 	}
+	j.misses += rr.Sys.Cache().Stats().Misses - missesBefore
+	j.energyPJ += rr.Sys.EnergyPJ() - energyBefore
 	return true
 }
 

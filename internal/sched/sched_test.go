@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +11,8 @@ import (
 	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
 	"colcache/internal/replacement"
+	"colcache/internal/tint"
+	"colcache/internal/workloads/gzipsim"
 )
 
 func newSys() *memsys.System {
@@ -435,5 +439,245 @@ func TestEnergyAttributionAcrossJobs(t *testing.T) {
 	}
 	if s := stats[1].String(); !strings.Contains(s, "EPI=") {
 		t.Errorf("String omits EPI: %s", s)
+	}
+}
+
+// referenceRun is RoundRobin.Run with naive per-access attribution: a full
+// memsys.Stats snapshot around every access. It drives rr's machine and
+// jobs directly, so a twin scheduler's Run must match it to the last bit.
+func referenceRun(rr *RoundRobin) []Stats {
+	for anyRan := true; anyRan; {
+		anyRan = false
+		for idx, j := range rr.jobs {
+			if j.Done() {
+				continue
+			}
+			anyRan = true
+			rr.quanta[idx]++
+			if cs := rr.Sys.Timing().ContextSwitch; cs > 0 {
+				rr.Sys.AddCycles(int64(cs))
+				j.cycles += int64(cs)
+			}
+			if rr.FlushTLBOnSwitch {
+				rr.Sys.TLB().FlushAll()
+			}
+			if rr.UseASIDs {
+				rr.Sys.TLB().SetASID(uint16(idx))
+			}
+			quantum := rr.effectiveQuantum()
+			for ran := int64(0); ran < quantum && !j.Done(); {
+				a := j.Trace[j.pos]
+				j.pos = (j.pos + 1) % len(j.Trace)
+				before := rr.Sys.Stats()
+				energyBefore := rr.Sys.EnergyPJ()
+				var cyc int64
+				if j.Mask != 0 {
+					cyc = rr.Sys.AccessMasked(a, j.Mask)
+				} else {
+					cyc = rr.Sys.Access(a)
+				}
+				instr := int64(a.Think) + 1
+				ran += instr
+				j.executed += instr
+				j.cycles += cyc
+				j.accesses++
+				j.misses += rr.Sys.Stats().Cache.Misses - before.Cache.Misses
+				j.energyPJ += rr.Sys.EnergyPJ() - energyBefore
+			}
+		}
+	}
+	out := make([]Stats, len(rr.jobs))
+	for i, j := range rr.jobs {
+		out[i] = Stats{
+			Name:         j.Name,
+			Instructions: j.executed,
+			Cycles:       j.cycles,
+			Accesses:     j.accesses,
+			Misses:       j.misses,
+			Quanta:       rr.quanta[i],
+			EnergyPJ:     j.energyPJ,
+		}
+	}
+	return out
+}
+
+// scatterTrace is a seeded mix of reads and writes with think time over
+// `pages` pages starting at base, so the TLB, write-backs and energy all
+// vary from access to access.
+func scatterTrace(base uint64, pages, n int, seed uint64) memtrace.Trace {
+	tr := make(memtrace.Trace, n)
+	x := seed | 1
+	for i := range tr {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		op := memtrace.Read
+		if x%4 == 0 {
+			op = memtrace.Write
+		}
+		tr[i] = memtrace.Access{
+			Addr:  base + (x>>8)%uint64(pages*4096)&^31,
+			Op:    op,
+			Think: uint32(x>>40) % 4,
+		}
+	}
+	return tr
+}
+
+// remapObserver flips one tint between two column halves every `every`
+// cached accesses, as the adaptive controller does from the same hook.
+type remapObserver struct {
+	sys   *memsys.System
+	id    tint.Tint
+	every int
+	n     int
+	flip  bool
+}
+
+func (o *remapObserver) ObserveAccess(tint.Tint, memory.Addr, bool) {
+	if o.n++; o.n%o.every != 0 {
+		return
+	}
+	o.flip = !o.flip
+	mask := replacement.Range(0, 2)
+	if o.flip {
+		mask = replacement.Range(2, 4)
+	}
+	if err := o.sys.RemapTint(o.id, mask); err != nil {
+		panic(err)
+	}
+}
+
+// Charging a quantum by the deltas of the machine's miss and energy
+// counters must give exactly the per-job statistics of per-access
+// snapshots, under every scheduler option and machine feature that
+// touches the counters between accesses.
+func TestQuantumDeltasMatchPerAccessAttribution(t *testing.T) {
+	variants := []struct {
+		name  string
+		setup func(sys *memsys.System, rr *RoundRobin, aTint tint.Tint) error
+		cs    int // Timing.ContextSwitch
+	}{
+		{name: "plain"},
+		{name: "flush TLB on switch", setup: func(_ *memsys.System, rr *RoundRobin, _ tint.Tint) error {
+			rr.FlushTLBOnSwitch = true
+			return nil
+		}},
+		{name: "ASIDs", setup: func(_ *memsys.System, rr *RoundRobin, _ tint.Tint) error {
+			rr.UseASIDs = true
+			return nil
+		}},
+		{name: "jitter", setup: func(_ *memsys.System, rr *RoundRobin, _ tint.Tint) error {
+			rr.JitterFrac, rr.JitterSeed = 0.6, 7
+			return nil
+		}},
+		{name: "context switch cost", cs: 37},
+		{name: "observer remaps", setup: func(sys *memsys.System, _ *RoundRobin, aTint tint.Tint) error {
+			sys.SetAccessObserver(&remapObserver{sys: sys, id: aTint, every: 97})
+			return nil
+		}},
+		{name: "L2", setup: func(sys *memsys.System, _ *RoundRobin, _ tint.Tint) error {
+			return sys.EnableL2(cache.Config{LineBytes: 32, NumSets: 256, NumWays: 4}, 6, false)
+		}},
+	}
+	build := func(t *testing.T, quantum int64, cs int, setup func(*memsys.System, *RoundRobin, tint.Tint) error) (*memsys.System, *RoundRobin) {
+		t.Helper()
+		timing := memsys.DefaultTiming
+		timing.ContextSwitch = cs
+		timing.TLBMiss = 30
+		sys := memsys.MustNew(memsys.Config{
+			Geometry: memory.MustGeometry(32, 4096),
+			Cache:    cache.Config{LineBytes: 32, NumSets: 64, NumWays: 4},
+			Timing:   timing,
+		})
+		aTint, err := sys.MapRegion(memory.Region{Name: "A", Base: 0, Size: 6 * 4096}, replacement.Range(0, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := NewRoundRobin(sys, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := []*Job{
+			{Name: "A", Trace: scatterTrace(0, 6, 3000, 1), TargetInstructions: 9000},
+			{Name: "B", Trace: loopTrace(1<<20, 700, 1), TargetInstructions: 7000},
+			// Process-granularity mask in place of the tint mechanism.
+			{Name: "C", Trace: scatterTrace(1<<24, 9, 2000, 2), TargetInstructions: 8000, Mask: replacement.Of(3)},
+		}
+		for _, j := range jobs {
+			if err := rr.Add(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if setup != nil {
+			if err := setup(sys, rr, aTint); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sys, rr
+	}
+	for _, v := range variants {
+		for _, q := range []int64{1, 3, 64, 4096} {
+			t.Run(fmt.Sprintf("%s/q=%d", v.name, q), func(t *testing.T) {
+				sys, rr := build(t, q, v.cs, v.setup)
+				refSys, refRR := build(t, q, v.cs, v.setup)
+				got := rr.Run()
+				want := referenceRun(refRR)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("per-job stats differ from per-access attribution:\n got %v\nwant %v", got, want)
+				}
+				if st, ref := sys.Stats(), refSys.Stats(); st != ref {
+					t.Fatalf("machines diverged:\n got %v\nwant %v", st, ref)
+				}
+				var misses, energy int64
+				for _, st := range got {
+					misses += st.Misses
+					energy += st.EnergyPJ
+				}
+				if m := sys.Cache().Stats().Misses; misses != m {
+					t.Errorf("Σ job misses %d != machine misses %d", misses, m)
+				}
+				if e := sys.EnergyPJ(); energy != e {
+					t.Errorf("Σ job energy %d != machine energy %d", energy, e)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRoundRobin times the scheduler on the Figure 5 mix (three gzip
+// jobs on a 16KB 4-way machine) at the two ends of the quantum axis. At
+// q=1 every access is its own quantum, so per-quantum overhead dominates.
+func BenchmarkRoundRobin(b *testing.B) {
+	var traces [3]memtrace.Trace
+	for i := range traces {
+		g := gzipsim.DefaultConfig
+		g.Seed += int64(i)
+		traces[i] = gzipsim.Job(g, memory.Addr(i)<<32).Trace
+	}
+	for _, q := range []int64{1, 4096} {
+		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
+			var accesses int64
+			for i := 0; i < b.N; i++ {
+				sys := memsys.MustNew(memsys.Config{
+					Geometry: memory.MustGeometry(32, 4096),
+					Cache:    cache.Config{LineBytes: 32, NumSets: 128, NumWays: 4},
+					Timing:   memsys.DefaultTiming,
+				})
+				rr, err := NewRoundRobin(sys, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k, tr := range traces {
+					if err := rr.Add(&Job{Name: fmt.Sprintf("job%d", k), Trace: tr, TargetInstructions: 1 << 18}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, st := range rr.Run() {
+					accesses += st.Accesses
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+		})
 	}
 }
