@@ -115,12 +115,23 @@ func TestClientErrors(t *testing.T) {
 		t.Fatalf("message lost: %q", se.Message)
 	}
 
-	// Failed job: JobFailedError from the synchronous helper. An empty
-	// inline trace builds a machine but has nothing to run — the server
-	// rejects it as a bad spec or fails the job; either is an error here.
+	// Malformed inline trace: the server parses trace_text at submission
+	// and rejects it as a bad spec.
 	spec := colcache.SimSpec{TraceText: "R 0\nW zzz\n"}
-	if _, err := c.Simulate(ctx, spec); err == nil {
-		t.Fatal("malformed trace_text run succeeded")
+	if _, err := c.Simulate(ctx, spec); !errors.As(err, &se) || se.StatusCode != 400 {
+		t.Fatalf("malformed trace_text: %v, want a 400", err)
+	}
+
+	// Failed job: JobFailedError from the synchronous helper. A generated
+	// workload is held to MaxTraceAccesses only after it runs, so this
+	// spec is accepted and then fails in the queue.
+	small, _ := newTestService(t, service.Config{Workers: 1, QueueDepth: 4,
+		Limits: service.Limits{MaxTraceAccesses: 16}})
+	var fe *colcache.JobFailedError
+	if _, err := small.Simulate(ctx, clientSpec("too-long")); !errors.As(err, &fe) {
+		t.Fatalf("over-limit workload: %v, want a JobFailedError", err)
+	} else if fe.Info.State != colcache.StateFailed || !strings.Contains(fe.Info.Error, "limit") {
+		t.Fatalf("failed job info: %+v", fe.Info)
 	}
 
 	// Draining server: OverloadedError with a retry hint.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	colload -base http://127.0.0.1:8344 [-c 200] [-duration 5s] [-spec-mix 16] [-out BENCH_PR3.json]
+//	colload -base http://127.0.0.1:8344 [-c 200] [-duration 5s] [-spec-mix 16] [-out report.json]
 //
 // Each of -c workers loops: submit a small simulation, poll it to a
 // terminal state, record the end-to-end latency. A 429 answer counts as a

@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	paperbench [-experiment fig4|fig5|ablations|comparisons|adaptive|multicore|all] [-quick] [-jobs N]
+//	paperbench [-experiment fig4|fig5|ablations|comparisons|adaptive|multicore|all] [-quick] [-jobs N] [-json FILE]
 //
 // -quick trims the Figure 5 quantum sweep for a fast run; the default runs
-// the paper's full 1..1M axis.
+// the paper's full 1..1M axis. -json also writes the same run's results as
+// one JSON document; the tables still go to stdout.
 //
 // The experiments are independent simulations, so they fan out across a
 // bounded worker pool: the top-level sections run concurrently into
@@ -35,69 +36,96 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run: fig4, fig5, ablations, comparisons, adaptive, multicore, all")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast run")
-	jsonPath := flag.String("json", "", "write all results as JSON to this file instead of tables")
+	jsonPath := flag.String("json", "", "also write the results of the sections run, with their shape-check verdict, as JSON to this file")
 	jobs := flag.Int("jobs", 0, "parallel workers (0 = one per CPU, 1 = serial)")
-	corebench := flag.String("corebench", "", "run the core benchmark (stepper at 1/2/4/8 cores, streaming replay, best-of--corereps) and write JSON to this file")
-	corebaseline := flag.String("corebaseline", "", "compare the -corebench run against this committed baseline JSON; exit nonzero on regression")
-	coretolerance := flag.Float64("coretolerance", 0.25, "fractional throughput regression tolerated against -corebaseline")
-	corereps := flag.Int("corereps", 3, "repetitions per -corebench row; the best run is kept")
 	flag.Parse()
 
 	experiments.SetWorkers(*jobs)
 
-	if *corebench != "" {
-		ok, err := runCoreBench(*corebench, *corebaseline, *coretolerance, *corereps, *quick)
-		if err != nil {
-			fail(err)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := runJSON(*jsonPath, *quick, *jobs); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	var sections []func(w io.Writer) (bool, error)
-	switch *experiment {
-	case "fig4":
-		sections = append(sections, runFig4)
-	case "fig5":
-		sections = append(sections, fig5Section(*quick))
-	case "ablations":
-		sections = append(sections, ablationsSection(*jobs))
-	case "comparisons":
-		sections = append(sections, comparisonsSection(*jobs))
-	case "adaptive":
-		sections = append(sections, adaptiveSection(*quick))
-	case "multicore":
-		sections = append(sections, multicoreSection)
-	case "all":
-		sections = append(sections,
-			runFig4,
-			fig5Section(*quick),
-			ablationsSection(*jobs),
-			comparisonsSection(*jobs),
-			adaptiveSection(*quick),
-			multicoreSection,
-		)
-	default:
-		fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q\n", *experiment)
+	var res jsonResults
+	sections, err := selectSections(*experiment, *quick, *jobs, &res)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
 	}
-
-	ok, err := runSections(os.Stdout, sections, *jobs)
+	ok, err := run(os.Stdout, sections, *jobs, &res, *jsonPath)
 	if err != nil {
 		fail(err)
 	}
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// selectSections returns the sections the -experiment name selects, in
+// output order. Each stores its structured results in the fields of res it
+// owns while it renders its tables.
+func selectSections(experiment string, quick bool, jobs int, res *jsonResults) ([]func(io.Writer) (bool, error), error) {
+	all := []struct {
+		name    string
+		section func(io.Writer) (bool, error)
+	}{
+		{"fig4", fig4Section(res)},
+		{"fig5", fig5Section(quick, res)},
+		{"ablations", ablationsSection(jobs, res)},
+		{"comparisons", comparisonsSection(jobs, res)},
+		{"adaptive", adaptiveSection(quick, res)},
+		{"multicore", multicoreSection(res)},
+	}
+	var sections []func(io.Writer) (bool, error)
+	for _, s := range all {
+		if experiment == "all" || experiment == s.name {
+			sections = append(sections, s.section)
+		}
+	}
+	if len(sections) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", experiment)
+	}
+	return sections, nil
+}
+
+// jsonResults is the -json document: the structured data of every section
+// that ran (each section fills only its own fields, so concurrent sections
+// never share one) and the run's shape-check verdict.
+type jsonResults struct {
+	Fig4              *experiments.Fig4Data                 `json:"fig4,omitempty"`
+	Fig5              *experiments.Fig5Data                 `json:"fig5,omitempty"`
+	Policy            []experiments.PolicyAblation          `json:"policyAblation,omitempty"`
+	MissPenalty       []experiments.MissPenaltyAblation     `json:"missPenaltyAblation,omitempty"`
+	TLB               []experiments.TLBAblation             `json:"tlbAblation,omitempty"`
+	Mask              []experiments.MaskGranularityAblation `json:"maskGranularityAblation,omitempty"`
+	Energy            []experiments.EnergyAblation          `json:"energyAblation,omitempty"`
+	WritePolicy       []experiments.WritePolicyAblation     `json:"writePolicyAblation,omitempty"`
+	Jitter            []experiments.JitterResult            `json:"jitterAblation,omitempty"`
+	PageColor         []experiments.PageColorComparison     `json:"pageColorComparison,omitempty"`
+	Granularity       []experiments.GranularityComparison   `json:"granularityComparison,omitempty"`
+	L2                []experiments.L2Comparison            `json:"l2Comparison,omitempty"`
+	Pipeline          []experiments.PipelineResult          `json:"pipelineDynamic,omitempty"`
+	Adaptive          *experiments.AdaptiveData             `json:"adaptive,omitempty"`
+	Multicore         *experiments.MulticoreData            `json:"multicore,omitempty"`
+	ShapeChecksPassed bool                                  `json:"shapeChecksPassed"`
+}
+
+// run renders the sections to w and reports whether every shape check
+// held. When jsonPath is set it then writes res, which the sections filled
+// while rendering, with that same verdict as ShapeChecksPassed — so the
+// document and the exit status cannot disagree, and the JSON is identical
+// at any -jobs value because the sections' results are.
+func run(w io.Writer, sections []func(io.Writer) (bool, error), jobs int, res *jsonResults, jsonPath string) (bool, error) {
+	ok, err := runSections(w, sections, jobs)
+	if err != nil || jsonPath == "" {
+		return ok, err
+	}
+	res.ShapeChecksPassed = ok
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return false, err
+	}
+	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+		return false, err
+	}
+	fmt.Fprintf(os.Stderr, "paperbench: wrote %s (%d bytes)\n", jsonPath, len(data)+1)
+	return ok, nil
 }
 
 // runSections fans the sections out across a bounded pool, each writing to
@@ -144,18 +172,21 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func runFig4(w io.Writer) (bool, error) {
-	fmt.Fprintln(w, "=== Figure 4: scratchpad vs cache partitioning (MPEG routines) ===")
-	data, err := experiments.RunFig4(experiments.DefaultFig4Config)
-	if err != nil {
-		return false, err
+func fig4Section(res *jsonResults) func(io.Writer) (bool, error) {
+	return func(w io.Writer) (bool, error) {
+		fmt.Fprintln(w, "=== Figure 4: scratchpad vs cache partitioning (MPEG routines) ===")
+		data, err := experiments.RunFig4(experiments.DefaultFig4Config)
+		if err != nil {
+			return false, err
+		}
+		res.Fig4 = data
+		for _, t := range data.Tables() {
+			t.Write(w)
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "remap overhead included in the dynamic result: %d cycles\n", data.RemapOverheadCycles)
+		return report(w, data.Verify()), nil
 	}
-	for _, t := range data.Tables() {
-		t.Write(w)
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "remap overhead included in the dynamic result: %d cycles\n", data.RemapOverheadCycles)
-	return report(w, data.Verify()), nil
 }
 
 // quickFig5Config trims the quantum sweep for -quick runs.
@@ -165,7 +196,7 @@ func quickFig5Config(cfg experiments.Fig5Config) experiments.Fig5Config {
 	return cfg
 }
 
-func fig5Section(quick bool) func(io.Writer) (bool, error) {
+func fig5Section(quick bool, res *jsonResults) func(io.Writer) (bool, error) {
 	return func(w io.Writer) (bool, error) {
 		fmt.Fprintln(w, "=== Figure 5: multitasking CPI vs context-switch quantum (3× gzip) ===")
 		cfg := experiments.DefaultFig5Config
@@ -176,6 +207,7 @@ func fig5Section(quick bool) func(io.Writer) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		res.Fig5 = data
 		data.Table().Write(w)
 		fmt.Fprintln(w)
 		data.EnergyTable().Write(w)
@@ -187,59 +219,20 @@ func fig5Section(quick bool) func(io.Writer) (bool, error) {
 // multicoreSection runs the cross-core interference study. The default
 // config is already a sub-second run, so -quick does not trim it: shorter
 // co-runs lose the re-touch passes that carry the interference signal.
-func multicoreSection(w io.Writer) (bool, error) {
-	fmt.Fprintln(w, "=== Multicore: cross-core interference over a shared column L2 ===")
-	data, err := experiments.RunMulticore(experiments.DefaultMulticoreConfig)
-	if err != nil {
-		return false, err
+func multicoreSection(res *jsonResults) func(io.Writer) (bool, error) {
+	return func(w io.Writer) (bool, error) {
+		fmt.Fprintln(w, "=== Multicore: cross-core interference over a shared column L2 ===")
+		data, err := experiments.RunMulticore(experiments.DefaultMulticoreConfig)
+		if err != nil {
+			return false, err
+		}
+		res.Multicore = data
+		for _, t := range data.Tables() {
+			t.Write(w)
+			fmt.Fprintln(w)
+		}
+		return report(w, data.Verify()), nil
 	}
-	for _, t := range data.Tables() {
-		t.Write(w)
-		fmt.Fprintln(w)
-	}
-	return report(w, data.Verify()), nil
-}
-
-// runCoreBench measures the core benchmark (best-of-reps per row), writes
-// the snapshot to path, and — when baselinePath is set — gates against the
-// committed baseline: any row more than tolerance below it fails the run.
-func runCoreBench(path, baselinePath string, tolerance float64, reps int, quick bool) (bool, error) {
-	per := 100000
-	if quick {
-		per = 25000
-	}
-	cb, err := experiments.RunCoreBench([]int{1, 2, 4, 8}, per, reps)
-	if err != nil {
-		return false, err
-	}
-	experiments.CoreBenchTable(cb).Write(os.Stdout)
-	data, err := json.MarshalIndent(cb, "", "  ")
-	if err != nil {
-		return false, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return false, err
-	}
-	fmt.Printf("paperbench: wrote %s (%d bytes)\n", path, len(data)+1)
-	if baselinePath == "" {
-		return true, nil
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return false, fmt.Errorf("reading baseline: %w", err)
-	}
-	var baseline experiments.CoreBench
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return false, fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-	}
-	problems := experiments.CompareCoreBench(cb, &baseline, tolerance)
-	for _, p := range problems {
-		fmt.Printf("core bench REGRESSION: %s\n", p)
-	}
-	if len(problems) == 0 {
-		fmt.Printf("core bench: within %.0f%% of %s on every row\n", tolerance*100, baselinePath)
-	}
-	return len(problems) == 0, nil
 }
 
 // quickAdaptiveConfig trims the adaptive scenarios for -quick runs.
@@ -250,7 +243,7 @@ func quickAdaptiveConfig(cfg experiments.AdaptiveConfig) experiments.AdaptiveCon
 	return cfg
 }
 
-func adaptiveSection(quick bool) func(io.Writer) (bool, error) {
+func adaptiveSection(quick bool, res *jsonResults) func(io.Writer) (bool, error) {
 	return func(w io.Writer) (bool, error) {
 		fmt.Fprintln(w, "=== Adaptive control: online column allocation vs static layouts ===")
 		cfg := experiments.DefaultAdaptiveConfig
@@ -261,6 +254,7 @@ func adaptiveSection(quick bool) func(io.Writer) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		res.Adaptive = data
 		for _, t := range data.Tables() {
 			t.Write(w)
 			fmt.Fprintln(w)
@@ -269,7 +263,7 @@ func adaptiveSection(quick bool) func(io.Writer) (bool, error) {
 	}
 }
 
-func ablationsSection(jobs int) func(io.Writer) (bool, error) {
+func ablationsSection(jobs int, res *jsonResults) func(io.Writer) (bool, error) {
 	return func(w io.Writer) (bool, error) {
 		fmt.Fprintln(w, "=== Ablations ===")
 		units := []func(io.Writer) (bool, error){
@@ -278,6 +272,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.Policy = pol
 				experiments.PolicyAblationTable(pol).Write(w)
 				ok := true
 				for _, r := range pol {
@@ -294,6 +289,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.MissPenalty = pen
 				experiments.MissPenaltyAblationTable(pen).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
@@ -303,6 +299,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.TLB = tlb
 				experiments.TLBAblationTable(tlb).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
@@ -312,6 +309,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.Mask = mask
 				experiments.MaskGranularityAblationTable(mask).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
@@ -321,6 +319,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.Energy = en
 				experiments.EnergyAblationTable(en).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
@@ -330,6 +329,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.WritePolicy = wp
 				experiments.WritePolicyAblationTable(wp).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
@@ -340,6 +340,7 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.Jitter = jit
 				experiments.JitterTable(jit, jcfg).Write(w)
 				fmt.Fprintln(w)
 				if jit[1].MaxCPI-jit[1].MinCPI > 0.02 {
@@ -360,33 +361,29 @@ func ablationsSection(jobs int) func(io.Writer) (bool, error) {
 	}
 }
 
-func comparisonsSection(jobs int) func(io.Writer) (bool, error) {
+func comparisonsSection(jobs int, res *jsonResults) func(io.Writer) (bool, error) {
 	return func(w io.Writer) (bool, error) {
 		fmt.Fprintln(w, "=== Related-work comparisons (paper §5.1) ===")
 
 		// The units run concurrently, each into its own buffer; the
-		// cross-unit shape checks read their captured results after the
+		// cross-unit shape checks read their results from res after the
 		// pool has drained.
-		var (
-			pc []experiments.PageColorComparison
-			gr []experiments.GranularityComparison
-		)
 		units := []func(io.Writer) (bool, error){
 			func(w io.Writer) (bool, error) {
 				var err error
-				if pc, err = experiments.RunPageColorComparison(); err != nil {
+				if res.PageColor, err = experiments.RunPageColorComparison(); err != nil {
 					return false, err
 				}
-				experiments.PageColorComparisonTable(pc).Write(w)
+				experiments.PageColorComparisonTable(res.PageColor).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
 			},
 			func(w io.Writer) (bool, error) {
 				var err error
-				if gr, err = experiments.RunGranularityComparison(); err != nil {
+				if res.Granularity, err = experiments.RunGranularityComparison(); err != nil {
 					return false, err
 				}
-				experiments.GranularityComparisonTable(gr).Write(w)
+				experiments.GranularityComparisonTable(res.Granularity).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
 			},
@@ -395,6 +392,7 @@ func comparisonsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.Pipeline = pipeRows
 				experiments.PipelineTable(pipeRows, pipeDecisions).Write(w)
 				experiments.PipelineDecisionsTable(pipeDecisions).Write(w)
 				fmt.Fprintln(w)
@@ -410,6 +408,7 @@ func comparisonsSection(jobs int) func(io.Writer) (bool, error) {
 				if err != nil {
 					return false, err
 				}
+				res.L2 = l2
 				experiments.L2ComparisonTable(l2).Write(w)
 				fmt.Fprintln(w)
 				return true, nil
@@ -419,11 +418,11 @@ func comparisonsSection(jobs int) func(io.Writer) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if pc[0].RemapCost < 100*pc[1].RemapCost {
+		if pc := res.PageColor; pc[0].RemapCost < 100*pc[1].RemapCost {
 			fmt.Fprintln(w, "shape check FAILED: page-coloring remap not ≫ column remap")
 			ok = false
 		}
-		if gr[2].TableMisses*5 >= gr[1].TableMisses {
+		if gr := res.Granularity; gr[2].TableMisses*5 >= gr[1].TableMisses {
 			fmt.Fprintln(w, "shape check FAILED: region tints did not beat process masks")
 			ok = false
 		}
@@ -432,104 +431,4 @@ func comparisonsSection(jobs int) func(io.Writer) (bool, error) {
 		}
 		return ok, nil
 	}
-}
-
-// jsonResults collects every experiment's structured data for -json output.
-type jsonResults struct {
-	Fig4              *experiments.Fig4Data                 `json:"fig4,omitempty"`
-	Fig5              *experiments.Fig5Data                 `json:"fig5,omitempty"`
-	Policy            []experiments.PolicyAblation          `json:"policyAblation,omitempty"`
-	MissPenalty       []experiments.MissPenaltyAblation     `json:"missPenaltyAblation,omitempty"`
-	TLB               []experiments.TLBAblation             `json:"tlbAblation,omitempty"`
-	Mask              []experiments.MaskGranularityAblation `json:"maskGranularityAblation,omitempty"`
-	WritePolicy       []experiments.WritePolicyAblation     `json:"writePolicyAblation,omitempty"`
-	Jitter            []experiments.JitterResult            `json:"jitterAblation,omitempty"`
-	PageColor         []experiments.PageColorComparison     `json:"pageColorComparison,omitempty"`
-	Granularity       []experiments.GranularityComparison   `json:"granularityComparison,omitempty"`
-	L2                []experiments.L2Comparison            `json:"l2Comparison,omitempty"`
-	Pipeline          []experiments.PipelineResult          `json:"pipelineDynamic,omitempty"`
-	Adaptive          *experiments.AdaptiveData             `json:"adaptive,omitempty"`
-	Multicore         *experiments.MulticoreData            `json:"multicore,omitempty"`
-	ShapeChecksPassed bool                                  `json:"shapeChecksPassed"`
-}
-
-// runJSON regenerates everything and writes one JSON document to path. The
-// tasks fan out across the worker pool, each filling its own field of res,
-// and the document is marshaled after the pool drains — so the JSON too is
-// identical at any -jobs value.
-func runJSON(path string, quick bool, jobs int) error {
-	res := jsonResults{}
-	fig4OK, fig5OK, adaptiveOK, multicoreOK := false, false, false, false
-	tasks := []func() error{
-		func() (err error) {
-			if res.Fig4, err = experiments.RunFig4(experiments.DefaultFig4Config); err == nil {
-				fig4OK = len(res.Fig4.Verify()) == 0
-			}
-			return err
-		},
-		func() (err error) {
-			cfg5 := experiments.DefaultFig5Config
-			if quick {
-				cfg5 = quickFig5Config(cfg5)
-			}
-			if res.Fig5, err = experiments.RunFig5(cfg5); err == nil {
-				fig5OK = len(res.Fig5.Verify()) == 0
-			}
-			return err
-		},
-		func() (err error) { res.Policy, err = experiments.RunPolicyAblation(); return },
-		func() (err error) {
-			res.MissPenalty, err = experiments.RunMissPenaltyAblation([]int{5, 10, 20, 40, 80})
-			return
-		},
-		func() (err error) { res.TLB, err = experiments.RunTLBAblation([]int{8, 16, 32, 64, 128}, 30); return },
-		func() (err error) { res.Mask, err = experiments.RunMaskGranularityAblation(); return },
-		func() (err error) { res.WritePolicy, err = experiments.RunWritePolicyAblation(); return },
-		func() (err error) { res.Jitter, err = experiments.RunJitter(experiments.DefaultJitterConfig); return },
-		func() (err error) { res.PageColor, err = experiments.RunPageColorComparison(); return },
-		func() (err error) { res.Granularity, err = experiments.RunGranularityComparison(); return },
-		func() (err error) {
-			job := gzipsim.Job(gzipsim.Config{WindowBytes: 4096}, 0)
-			res.L2, err = experiments.RunL2Comparison(job.Trace)
-			return err
-		},
-		func() (err error) { res.Pipeline, _, err = experiments.RunPipelineDynamic(mpeg.DefaultConfig); return },
-		func() (err error) {
-			cfgA := experiments.DefaultAdaptiveConfig
-			if quick {
-				cfgA = quickAdaptiveConfig(cfgA)
-			}
-			if res.Adaptive, err = experiments.RunAdaptive(cfgA); err == nil {
-				adaptiveOK = len(res.Adaptive.Verify()) == 0
-			}
-			return err
-		},
-		func() (err error) {
-			if res.Multicore, err = experiments.RunMulticore(experiments.DefaultMulticoreConfig); err == nil {
-				multicoreOK = len(res.Multicore.Verify()) == 0
-			}
-			return err
-		},
-	}
-	if _, err := runner.Map(context.Background(), tasks,
-		func(_ context.Context, task func() error, _ int) (struct{}, error) {
-			return struct{}{}, task()
-		},
-		runner.Options{Workers: jobs}); err != nil {
-		return err
-	}
-	res.ShapeChecksPassed = fig4OK && fig5OK && adaptiveOK && multicoreOK
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("paperbench: wrote %s (%d bytes)\n", path, len(data))
-	if !res.ShapeChecksPassed {
-		return fmt.Errorf("shape checks failed (see %s)", path)
-	}
-	return nil
 }

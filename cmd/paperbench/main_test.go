@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,5 +82,104 @@ func TestQuickFig5Config(t *testing.T) {
 	}
 	if cfg.Ways != full.Ways || cfg.LineBytes != full.LineBytes {
 		t.Error("quick config changed machine parameters")
+	}
+}
+
+// readDoc parses a -json document and returns it with its sorted
+// top-level keys.
+func readDoc(t *testing.T, path string) (map[string]json.RawMessage, []string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return doc, keys
+}
+
+// TestRunJSONVerdictFollowsEverySection checks that the -json document is
+// the text run's: a failing shape check in any section makes both the run
+// and the document's shapeChecksPassed fail, and the document carries
+// exactly the keys of the sections that ran.
+func TestRunJSONVerdictFollowsEverySection(t *testing.T) {
+	for _, failing := range []int{-1, 0, 1, 2} {
+		for _, jobs := range []int{1, 4} {
+			res := &jsonResults{}
+			setters := []func(){
+				func() { res.Fig4 = &experiments.Fig4Data{} },
+				func() { res.Jitter = []experiments.JitterResult{{}} },
+				func() { res.Granularity = []experiments.GranularityComparison{{}} },
+			}
+			var sections []func(io.Writer) (bool, error)
+			for i, set := range setters {
+				sections = append(sections, func(w io.Writer) (bool, error) {
+					time.Sleep(time.Duration(3-i) * time.Millisecond)
+					set()
+					fmt.Fprintf(w, "section %d\n", i)
+					return i != failing, nil
+				})
+			}
+			path := filepath.Join(t.TempDir(), "out.json")
+			var buf bytes.Buffer
+			ok, err := run(&buf, sections, jobs, res, path)
+			if err != nil {
+				t.Fatalf("failing=%d jobs=%d: %v", failing, jobs, err)
+			}
+			if want := failing < 0; ok != want {
+				t.Errorf("failing=%d jobs=%d: run ok = %v, want %v", failing, jobs, ok, want)
+			}
+			if buf.String() != "section 0\nsection 1\nsection 2\n" {
+				t.Errorf("failing=%d jobs=%d: tables = %q", failing, jobs, buf.String())
+			}
+			doc, keys := readDoc(t, path)
+			if got := string(doc["shapeChecksPassed"]); got != fmt.Sprint(ok) {
+				t.Errorf("failing=%d jobs=%d: shapeChecksPassed = %s, run ok = %v", failing, jobs, got, ok)
+			}
+			want := []string{"fig4", "granularityComparison", "jitterAblation", "shapeChecksPassed"}
+			if !slices.Equal(keys, want) {
+				t.Errorf("failing=%d jobs=%d: keys = %v, want %v", failing, jobs, keys, want)
+			}
+		}
+	}
+}
+
+// TestSelectSectionsJSONKeys runs real sections through the -experiment
+// selection and checks each document holds exactly that section's keys.
+func TestSelectSectionsJSONKeys(t *testing.T) {
+	for _, tc := range []struct {
+		experiment string
+		keys       []string
+	}{
+		{"fig4", []string{"fig4", "shapeChecksPassed"}},
+		{"comparisons", []string{"granularityComparison", "l2Comparison", "pageColorComparison", "pipelineDynamic", "shapeChecksPassed"}},
+	} {
+		res := &jsonResults{}
+		sections, err := selectSections(tc.experiment, true, 2, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "out.json")
+		ok, err := run(io.Discard, sections, 2, res, path)
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%v err=%v", tc.experiment, ok, err)
+		}
+		doc, keys := readDoc(t, path)
+		if !slices.Equal(keys, tc.keys) {
+			t.Errorf("%s: keys = %v, want %v", tc.experiment, keys, tc.keys)
+		}
+		if string(doc["shapeChecksPassed"]) != "true" {
+			t.Errorf("%s: shapeChecksPassed = %s", tc.experiment, doc["shapeChecksPassed"])
+		}
+	}
+	if _, err := selectSections("fig6", false, 1, &jsonResults{}); err == nil {
+		t.Error("unknown experiment accepted")
 	}
 }

@@ -17,9 +17,9 @@
 // changed the masks.
 //
 // Capture is allocation-free at steady state: reducers reuse their line
-// buffers, frames reuse their cell slices, and the ring reuses its slots —
-// the <5% stepper-throughput budget (benchcore's inspect-on row) depends on
-// it.
+// buffers, frames reuse their cell slices, and the ring reuses its slots.
+// BenchmarkCapture times the stepper with capture off and on (a
+// measurement, not a gate).
 package inspect
 
 // Cell state codes in CacheFrame.MSI. For a coherent multicore L1 these are

@@ -34,7 +34,13 @@ func WriteText(w io.Writer, t Trace) error {
 }
 
 // ReadText parses the text format produced by WriteText.
-func ReadText(r io.Reader) (Trace, error) {
+func ReadText(r io.Reader) (Trace, error) { return ReadTextLimit(r, 0) }
+
+// ReadTextLimit is ReadText bounded to maxAccesses records: parsing stops
+// at the first record past the limit, so an oversized trace never
+// materializes beyond it. maxAccesses <= 0 means no limit. A trace with
+// more records fails with an error wrapping ErrTraceTooLarge.
+func ReadTextLimit(r io.Reader, maxAccesses int) (Trace, error) {
 	var t Trace
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
@@ -69,6 +75,9 @@ func ReadText(r io.Reader) (Trace, error) {
 				return nil, fmt.Errorf("memtrace: line %d: bad think count %q: %v", lineNo, fields[2], err)
 			}
 			think = uint32(v)
+		}
+		if maxAccesses > 0 && len(t) == maxAccesses {
+			return nil, fmt.Errorf("%w (limit %d)", ErrTraceTooLarge, maxAccesses)
 		}
 		t = append(t, Access{Addr: addr, Op: op, Think: think})
 	}

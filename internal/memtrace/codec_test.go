@@ -2,6 +2,7 @@ package memtrace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -103,6 +104,19 @@ func TestReadTextErrors(t *testing.T) {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadText(%q) succeeded", in)
 		}
+	}
+}
+
+func TestReadTextLimit(t *testing.T) {
+	in := "# three records\nR 0\nW 20 3\nR 40\n"
+	for _, limit := range []int{0, 3, 4} {
+		tr, err := ReadTextLimit(strings.NewReader(in), limit)
+		if err != nil || len(tr) != 3 {
+			t.Errorf("limit %d: len=%d err=%v", limit, len(tr), err)
+		}
+	}
+	if _, err := ReadTextLimit(strings.NewReader(in), 2); !errors.Is(err, ErrTraceTooLarge) {
+		t.Errorf("limit 2: err=%v, want ErrTraceTooLarge", err)
 	}
 }
 

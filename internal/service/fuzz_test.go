@@ -1,0 +1,86 @@
+package service
+
+import (
+	"encoding/json"
+	"errors"
+	"testing"
+
+	colcache "colcache"
+	"colcache/internal/memtrace"
+)
+
+// fuzzLimits are deliberately small so the fuzzer reaches the limit
+// checks with short inputs.
+var fuzzLimits = Limits{MaxTraceAccesses: 1 << 12, MaxSets: 1 << 8, MaxWays: 16}
+
+// cheapToGenerate reports whether w's generator knobs are small enough to
+// build inside one fuzz iteration. Generators are held to MaxTraceAccesses
+// only after they run (the documented post-generation ErrTraceTooLarge),
+// so a spec that validates may still ask for gigabytes of trace; such
+// specs are validated but not built.
+func cheapToGenerate(w colcache.WorkloadSpec) bool {
+	return w.SizeBytes <= 1<<16 && w.Passes <= 16 && w.Phases <= 16 &&
+		w.Taps <= 256 && w.Bins <= 1<<12 && w.N <= 1<<10 &&
+		(w.Name != "matmul" || w.N <= 32)
+}
+
+// FuzzSimSpec decodes arbitrary JSON into a SimSpec and checks the
+// submission contract: ValidateSim never panics, and every spec it accepts
+// builds, failing only with ErrTraceTooLarge when a generator overshoots
+// the trace limit.
+func FuzzSimSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec colcache.SimSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		if ValidateSim(spec, false, fuzzLimits) != nil {
+			return
+		}
+		var err error
+		if spec.Multicore != nil {
+			for _, c := range spec.Multicore.Cores {
+				if !cheapToGenerate(c.Workload) {
+					return
+				}
+			}
+			_, err = BuildMulticore(spec, fuzzLimits)
+		} else {
+			if spec.Workload != nil && !cheapToGenerate(*spec.Workload) {
+				return
+			}
+			_, err = BuildSim(spec, nil, fuzzLimits)
+		}
+		if err != nil && !errors.Is(err, memtrace.ErrTraceTooLarge) {
+			t.Fatalf("validated spec failed to build: %v\nspec: %s", err, data)
+		}
+	})
+}
+
+// FuzzExpandSweep decodes arbitrary JSON into a SweepSpec and checks that
+// expandSweep never panics and never returns more than maxPoints points
+// (or none without an error).
+func FuzzExpandSweep(f *testing.F) {
+	for _, seed := range []string{
+		`{"base":{"workload":{"name":"stream"}},"sets":[16,32],"ways":[2,4,8],"policies":["lru","fifo"]}`,
+		`{"base":{"workload":{"name":"stream"}},"ways":[1,2,3,0]}`,
+		`{"base":{"trace_text":"R 0\nW 20\n"},"miss_penalties":[5,10,20,40]}`,
+		`{"base":{"machine":{"sets":16}},"workloads":[{"name":"fir","n":64},{"name":"gzip"}],"policies":[""]}`,
+		`{"base":{},"sets":[1,1,1,1],"ways":[1,1,1,1],"policies":["a","b","c","d"],"miss_penalties":[1,2,3,4],"workloads":[{},{},{},{}]}`,
+	} {
+		f.Add([]byte(seed), uint16(16))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, maxPoints uint16) {
+		var sw colcache.SweepSpec
+		if json.Unmarshal(data, &sw) != nil {
+			return
+		}
+		points, err := expandSweep(sw, int(maxPoints))
+		if err != nil {
+			return
+		}
+		if len(points) == 0 || len(points) > int(maxPoints) {
+			t.Fatalf("expandSweep returned %d points for maxPoints %d: %s", len(points), maxPoints, data)
+		}
+	})
+}

@@ -30,6 +30,12 @@ type Job struct {
 	// checkpoint execution fast-forwards to before continuing.
 	Resume *memsys.Checkpoint
 
+	// inline is trace_text as parsed at submission, so the run does not
+	// parse it again; runSimulate takes it and leaves nil. It is not
+	// written to the WAL: a recovered job has none and BuildSim parses
+	// trace_text itself.
+	inline memtrace.Trace
+
 	mu        sync.Mutex
 	state     string
 	retriable bool

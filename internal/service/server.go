@@ -296,7 +296,13 @@ func (s *Server) observeJobLatency(j *Job) {
 }
 
 func (s *Server) runSimulate(ctx context.Context, j *Job) error {
-	b, err := BuildSim(j.Spec, j.Upload, s.cfg.Limits)
+	trace := j.Upload
+	if trace == nil {
+		// Taken, not kept: a finished job stays listed, and must not
+		// pin its parsed trace.
+		trace, j.inline = j.inline, nil
+	}
+	b, err := BuildSim(j.Spec, trace, s.cfg.Limits)
 	if err != nil {
 		return err
 	}
@@ -431,12 +437,15 @@ func expandSweep(sw colcache.SweepSpec, maxPoints int) ([]colcache.SimSpec, erro
 		}
 	}
 
-	n := len(sets) * len(ways) * len(policies) * len(penalties) * len(workloads)
-	if n == 0 {
-		return nil, fmt.Errorf("sweep expands to zero points")
-	}
-	if n > maxPoints {
-		return nil, fmt.Errorf("sweep expands to %d points, limit %d", n, maxPoints)
+	// Every axis has at least one entry. The running product is checked
+	// against the cap before each multiply, so long axes cannot overflow
+	// it past the check.
+	n := 1
+	for _, axis := range []int{len(sets), len(ways), len(policies), len(penalties), len(workloads)} {
+		if axis > maxPoints/n {
+			return nil, fmt.Errorf("sweep expands to more than the %d-point limit", maxPoints)
+		}
+		n *= axis
 	}
 	var out []colcache.SimSpec
 	for _, wl := range workloads {
@@ -468,15 +477,32 @@ func expandSweep(sw colcache.SweepSpec, maxPoints int) ([]colcache.SimSpec, erro
 	return out, nil
 }
 
-func (s *Server) runSweep(ctx context.Context, j *Job) error {
-	points, err := expandSweep(*j.SweepSpec, s.cfg.MaxSweepPoints)
+// sweepPoints expands a sweep and validates every point. The base's inline
+// trace_text is parsed once, not once per point, and returned (nil without
+// one) so the points can share it.
+func (s *Server) sweepPoints(sw colcache.SweepSpec) ([]colcache.SimSpec, memtrace.Trace, error) {
+	points, err := expandSweep(sw, s.cfg.MaxSweepPoints)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	for i := range points {
-		if err := ValidateSim(points[i], false, s.cfg.Limits); err != nil {
-			return fmt.Errorf("point %q: %w", points[i].Label, err)
+		if err := validateSpec(points[i], false, s.cfg.Limits); err != nil {
+			return nil, nil, fmt.Errorf("point %q: %w", points[i].Label, err)
 		}
+	}
+	var tr memtrace.Trace
+	if sw.Base.TraceText != "" {
+		if tr, err = parseTraceText(sw.Base.TraceText, s.cfg.Limits); err != nil {
+			return nil, nil, err
+		}
+	}
+	return points, tr, nil
+}
+
+func (s *Server) runSweep(ctx context.Context, j *Job) error {
+	points, trace, err := s.sweepPoints(*j.SweepSpec)
+	if err != nil {
+		return err
 	}
 	j.setRunning(nil)
 	j.publishProgress(colcache.JobProgress{PointsTotal: len(points)})
@@ -491,7 +517,7 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 		jobs[i] = experiments.SpecJob{
 			Label: spec.Label,
 			Build: func() (*memsys.System, memtrace.Trace, error) {
-				b, err := BuildSim(spec, nil, s.cfg.Limits)
+				b, err := BuildSim(spec, trace, s.cfg.Limits)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -670,7 +696,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	if err := ValidateSim(spec, false, s.cfg.Limits); err != nil {
+	inline, err := checkSim(spec, false, s.cfg.Limits)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -678,6 +705,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		j.Kind = "multicore"
 	}
 	j.Spec = spec
+	j.inline = inline
 	if s.dur != nil {
 		j.Digest = SimDigest(spec, nil)
 		if s.serveCached(w, j.Kind, j.Digest, spec.Label) {
@@ -728,16 +756,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	points, err := expandSweep(spec, s.cfg.MaxSweepPoints)
-	if err != nil {
+	if _, _, err := s.sweepPoints(spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad sweep: %v", err)
 		return
-	}
-	for i := range points {
-		if err := ValidateSim(points[i], false, s.cfg.Limits); err != nil {
-			writeError(w, http.StatusBadRequest, "bad sweep point %q: %v", points[i].Label, err)
-			return
-		}
 	}
 	j := &Job{Kind: "sweep", SweepSpec: &spec, Spec: spec.Base}
 	if s.dur != nil {

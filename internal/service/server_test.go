@@ -233,6 +233,65 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTraceTextRejectedAtSubmit checks that an inline trace is parsed at
+// submission: a malformed, empty or oversized trace_text is a 400 for a
+// simulate and for a sweep base, and never reaches the queue, so the
+// accepted ledger does not move.
+func TestTraceTextRejectedAtSubmit(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4, Limits: Limits{MaxTraceAccesses: 4}})
+	defer srv.Drain(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for name, text := range map[string]string{
+		"malformed": "0",
+		"bad op":    "R 0\nX 20\n",
+		"empty":     "# no records\n\n",
+		"oversized": "R 0\nR 20\nR 40\nR 60\nR 80\n",
+	} {
+		spec := colcache.SimSpec{Machine: colcache.MachineSpec{Sets: 16, Ways: 4}, TraceText: text}
+		if resp, body := postJSON(t, ts, "/v1/simulate", spec); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("simulate %s: HTTP %d, want 400: %s", name, resp.StatusCode, body)
+		}
+		sw := colcache.SweepSpec{Base: spec, Ways: []int{1, 2}}
+		if resp, body := postJSON(t, ts, "/v1/sweep", sw); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep %s: HTTP %d, want 400: %s", name, resp.StatusCode, body)
+		}
+	}
+	m := srv.MetricsRegistry()
+	for _, kind := range []string{"simulate", "sweep"} {
+		if got := m.Jobs.Get(kind, "accepted"); got != 0 {
+			t.Errorf("%s accepted = %d after rejected submissions, want 0", kind, got)
+		}
+	}
+
+	// A trace at the limit is accepted, and a sweep over it runs every
+	// point on the base trace parsed once.
+	spec := colcache.SimSpec{Machine: colcache.MachineSpec{Sets: 16, Ways: 4}, TraceText: "R 0\nW 20 3\nR 0\nR 400\n"}
+	resp, body := postJSON(t, ts, "/v1/simulate", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid trace_text: HTTP %d: %s", resp.StatusCode, body)
+	}
+	var info colcache.JobInfo
+	json.Unmarshal(body, &info)
+	single := waitTerminal(t, ts, info.ID)
+	if single.State != colcache.StateDone || single.Result.TraceAccesses != 4 {
+		t.Fatalf("valid trace_text: %+v", single)
+	}
+	resp, body = postJSON(t, ts, "/v1/sweep", colcache.SweepSpec{Base: spec, Ways: []int{2, 4}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid trace_text sweep: HTTP %d: %s", resp.StatusCode, body)
+	}
+	json.Unmarshal(body, &info)
+	final := waitTerminal(t, ts, info.ID)
+	if final.State != colcache.StateDone || final.Sweep == nil || len(final.Sweep.Points) != 2 {
+		t.Fatalf("trace_text sweep: %+v", final)
+	}
+	if got, want := final.Sweep.Points[1].Result.Cycles, single.Result.Cycles; got != want {
+		t.Errorf("sweep point ways=4: %d cycles, want the simulate's %d", got, want)
+	}
+}
+
 func TestSweepRoundTrip(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4, SweepWorkers: 2})
 	defer srv.Drain(context.Background())

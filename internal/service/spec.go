@@ -104,8 +104,43 @@ func ValidateMachine(m colcache.MachineSpec, lim Limits) error {
 }
 
 // ValidateSim checks a full simulate spec. hasUpload reports whether a
-// binary trace body accompanies the spec (the octet-stream path).
+// binary trace body accompanies the spec (the octet-stream path). An inline
+// trace_text is parsed here, bounded by lim.MaxTraceAccesses, so a
+// malformed, empty or oversized one is rejected at submission instead of
+// being accepted and failing in the queue.
 func ValidateSim(spec colcache.SimSpec, hasUpload bool, lim Limits) error {
+	_, err := checkSim(spec, hasUpload, lim)
+	return err
+}
+
+// checkSim is ValidateSim that also returns the parsed trace_text (nil
+// without one), so a submission parses its inline trace only once.
+func checkSim(spec colcache.SimSpec, hasUpload bool, lim Limits) (memtrace.Trace, error) {
+	if err := validateSpec(spec, hasUpload, lim); err != nil {
+		return nil, err
+	}
+	if spec.TraceText == "" {
+		return nil, nil
+	}
+	return parseTraceText(spec.TraceText, lim)
+}
+
+// parseTraceText decodes an inline trace of at most lim.MaxTraceAccesses
+// records. An empty trace is an error, as it is for a binary upload.
+func parseTraceText(text string, lim Limits) (memtrace.Trace, error) {
+	tr, err := memtrace.ReadTextLimit(strings.NewReader(text), lim.withDefaults().MaxTraceAccesses)
+	if err != nil {
+		return nil, fmt.Errorf("trace_text: %w", err)
+	}
+	if len(tr) == 0 {
+		return nil, fmt.Errorf("trace_text: empty trace")
+	}
+	return tr, nil
+}
+
+// validateSpec is ValidateSim without parsing trace_text, for callers that
+// parse it once themselves (a sweep shares its base's trace across points).
+func validateSpec(spec colcache.SimSpec, hasUpload bool, lim Limits) error {
 	if err := ValidateMachine(spec.Machine, lim); err != nil {
 		return err
 	}
@@ -283,9 +318,10 @@ type Built struct {
 }
 
 // BuildSim constructs the machine and trace a validated spec describes.
-// upload, when non-nil, is the pre-decoded binary trace of an octet-stream
-// submission.
-func BuildSim(spec colcache.SimSpec, upload memtrace.Trace, lim Limits) (*Built, error) {
+// trace, when non-nil, is the already-decoded trace: the binary body of an
+// octet-stream submission, or trace_text parsed at submission (once for
+// all of a sweep's points).
+func BuildSim(spec colcache.SimSpec, trace memtrace.Trace, lim Limits) (*Built, error) {
 	lim = lim.withDefaults()
 	m := machineWithDefaults(spec.Machine)
 	g, err := memory.NewGeometry(m.LineBytes, m.PageBytes)
@@ -308,18 +344,17 @@ func BuildSim(spec colcache.SimSpec, upload memtrace.Trace, lim Limits) (*Built,
 		return nil, err
 	}
 
-	b := &Built{Sys: sys}
+	b := &Built{Sys: sys, Trace: trace}
 	switch {
-	case upload != nil:
-		b.Trace = upload
-		b.Workload = "upload"
 	case spec.TraceText != "":
-		tr, err := memtrace.ReadText(strings.NewReader(spec.TraceText))
-		if err != nil {
-			return nil, err
+		if b.Trace == nil {
+			if b.Trace, err = parseTraceText(spec.TraceText, lim); err != nil {
+				return nil, err
+			}
 		}
-		b.Trace = tr
 		b.Workload = "inline"
+	case trace != nil:
+		b.Workload = "upload"
 	case spec.Workload != nil:
 		prog, err := BuildWorkload(*spec.Workload, m.LineBytes)
 		if err != nil {

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	colcache "colcache"
+	"colcache/internal/memtrace"
 )
 
 func TestValidateMachine(t *testing.T) {
@@ -57,6 +59,15 @@ func TestValidateSimTraceSources(t *testing.T) {
 	}
 	if err := ValidateSim(colcache.SimSpec{Workload: wl}, true, lim); err == nil {
 		t.Fatal("workload plus upload accepted")
+	}
+	for _, text := range []string{"0", "R 0\nW zz\n", "# comments only\n"} {
+		if err := ValidateSim(colcache.SimSpec{TraceText: text}, false, lim); err == nil {
+			t.Errorf("trace_text %q accepted", text)
+		}
+	}
+	small := Limits{MaxTraceAccesses: 2}
+	if err := ValidateSim(colcache.SimSpec{TraceText: "R 0\nR 20\nR 40\n"}, false, small); !errors.Is(err, memtrace.ErrTraceTooLarge) {
+		t.Errorf("oversized trace_text: %v, want ErrTraceTooLarge", err)
 	}
 }
 
@@ -187,6 +198,36 @@ func TestBuildSimTraceLimit(t *testing.T) {
 	}
 }
 
+// TestBuildSimInlineTrace checks both ways a trace_text run is built: with
+// the trace parsed at submission, which BuildSim uses as is, and without it
+// (a job recovered from the WAL), when BuildSim parses trace_text itself.
+func TestBuildSimInlineTrace(t *testing.T) {
+	spec := colcache.SimSpec{TraceText: "R 0\nW 40 2\nR 0\n"}
+	parsed, err := checkSim(spec, false, DefaultLimits)
+	if err != nil || len(parsed) != 3 {
+		t.Fatalf("checkSim: %d accesses, %v", len(parsed), err)
+	}
+	pre, err := BuildSim(spec, parsed, DefaultLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &pre.Trace[0] != &parsed[0] || pre.Workload != "inline" {
+		t.Fatalf("submission trace not reused: workload %q", pre.Workload)
+	}
+	re, err := BuildSim(spec, nil, DefaultLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Workload != "inline" || len(re.Trace) != len(parsed) {
+		t.Fatalf("fallback parse: workload %q, %d accesses", re.Workload, len(re.Trace))
+	}
+	for i := range parsed {
+		if re.Trace[i] != parsed[i] {
+			t.Fatalf("access %d: %+v, want %+v", i, re.Trace[i], parsed[i])
+		}
+	}
+}
+
 func TestExpandSweep(t *testing.T) {
 	sw := colcache.SweepSpec{
 		Base:     colcache.SimSpec{Workload: &colcache.WorkloadSpec{Name: "stream"}},
@@ -213,5 +254,29 @@ func TestExpandSweep(t *testing.T) {
 	}
 	if _, err := expandSweep(sw, 11); err == nil {
 		t.Fatal("points over cap accepted")
+	}
+
+	// Axes whose point count is exactly 2^63 would wrap a plain int
+	// product negative, past the cap; the count must still be refused.
+	long := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = 1 + i%8
+		}
+		return out
+	}
+	huge := colcache.SweepSpec{
+		Base:          sw.Base,
+		Sets:          long(1 << 12),
+		Ways:          long(1 << 12),
+		MissPenalties: long(1 << 12),
+		Policies:      make([]string, 1<<12),
+		Workloads:     make([]colcache.WorkloadSpec, 1<<15),
+	}
+	for i := range huge.Policies {
+		huge.Policies[i] = "lru"
+	}
+	if _, err := expandSweep(huge, 512); err == nil {
+		t.Fatal("2^63-point sweep accepted")
 	}
 }
