@@ -9,6 +9,9 @@
 # Target map:
 #   build / test / race  - compile and run the suite (plain, then -race)
 #   lint                 - go vet + gofmt + staticcheck (skipped if absent)
+#   fuzz-smoke           - FuzzDecoder, FuzzReadBinary and FuzzSimSpec for
+#                          10 s each: the binary-trace decoder and the
+#                          spec validator parse uploaded request bodies
 #   bench                - SMOKE gate: one iteration of every benchmark, so
 #                          every _test.go benchmark always compiles and
 #                          executes; not a measurement (perfbench/ is the
@@ -36,7 +39,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench smoke paper-golden paper-json servebench recovery fabric conformance cover multicore watch ci
+.PHONY: build test race lint fuzz-smoke bench smoke paper-golden paper-json servebench recovery fabric conformance cover multicore watch ci
 
 build:
 	$(GO) build ./...
@@ -60,6 +63,15 @@ lint:
 	else \
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
+
+# A short run of each fuzzer over the parsers of untrusted input: the
+# binary-trace decoder (checked against a per-record reference decoder)
+# and the JSON spec validator. A failing input is saved under the
+# package's testdata/fuzz/ and reruns in every later `go test`.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecoder$$' -fuzztime=10s ./internal/memtrace
+	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/memtrace
+	$(GO) test -run='^$$' -fuzz='^FuzzSimSpec$$' -fuzztime=10s ./internal/service
 
 # One iteration of every benchmark: a smoke gate that keeps the benchmarks
 # compiling and executing, not a measurement. Measured runs live in
@@ -193,4 +205,4 @@ cover:
 		} \
 		END { if (bad) { print "coverage below the 85% gate"; exit 1 } }'
 
-ci: build lint test race bench smoke paper-golden paper-json servebench recovery fabric conformance cover multicore watch
+ci: build lint test fuzz-smoke race bench smoke paper-golden paper-json servebench recovery fabric conformance cover multicore watch

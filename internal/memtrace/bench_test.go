@@ -3,6 +3,9 @@ package memtrace
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -61,4 +64,33 @@ func BenchmarkDecodeBatch(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkReadBinary reads a 1Mi-record trace file whole, as colsim
+// loads its inputs: the decoder sees the file's size, so the trace is
+// allocated once and the bytes allocated per record stay near the size of
+// one Access.
+func BenchmarkReadBinary(b *testing.B) {
+	const records = 1 << 20
+	path := filepath.Join(b.TempDir(), "trace.bin")
+	if err := os.WriteFile(path, benchTraceBytes(b, records), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := ReadBinary(f)
+		f.Close()
+		if err != nil || len(tr) != records {
+			b.Fatalf("read %d records, err %v", len(tr), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * records
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/record")
 }

@@ -11,8 +11,10 @@ import (
 // Text format: one access per line, "R|W <hex-addr> [think]". Lines starting
 // with '#' and blank lines are ignored. Think defaults to 0.
 //
-// Binary format: a 8-byte magic header followed by records of
-// {addr uint64, think uint32, op uint8} in little-endian order.
+// Binary format: a 8-byte magic header followed by 13-byte records of
+// {addr uint64, think uint32, op uint8} in little-endian order. Every
+// binary read (ReadBinary, ReadBinaryLimit, Decoder.Next) goes through the
+// one bulk decoder, Decoder.DecodeBatch, in decoder.go.
 
 const binaryMagic = "CCTRACE1"
 
@@ -105,34 +107,6 @@ func WriteBinary(w io.Writer, t Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary format produced by WriteBinary.
-func ReadBinary(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("memtrace: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("memtrace: bad magic %q", magic)
-	}
-	var t Trace
-	var rec [13]byte
-	for {
-		_, err := io.ReadFull(br, rec[:])
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("memtrace: truncated record: %w", err)
-		}
-		op := Op(rec[12])
-		if op != Read && op != Write {
-			return nil, fmt.Errorf("memtrace: invalid op byte %d", rec[12])
-		}
-		t = append(t, Access{
-			Addr:  binary.LittleEndian.Uint64(rec[0:8]),
-			Think: binary.LittleEndian.Uint32(rec[8:12]),
-			Op:    op,
-		})
-	}
-}
+// ReadBinary parses the binary format produced by WriteBinary. It is
+// ReadBinaryLimit without a limit: the Decoder is the one decode path.
+func ReadBinary(r io.Reader) (Trace, error) { return ReadBinaryLimit(r, 0) }

@@ -2,7 +2,10 @@ package memtrace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadText: arbitrary input must never panic, and anything that parses
@@ -36,50 +39,64 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzDecoder: the streaming decoder must never panic on arbitrary bytes
-// and must agree with the batch ReadBinary on every input — same records on
-// success, an error on exactly the inputs ReadBinary rejects. This is the
-// decode path a service runs on uploaded request bodies, so "malformed
-// input errors, never panics" is a hard requirement.
+// FuzzDecoder: the decoder must never panic on arbitrary bytes and must
+// agree with the per-record reference decoder on every input, whatever the
+// read sizes and batch sizes: the same records, then the same error. This
+// is the decode path a service runs on uploaded request bodies, so
+// "malformed input errors, never panics" is a hard requirement. The input
+// is decoded in large batches, in batches of one record, and one byte per
+// read through DecodeBatch with the fuzzed batch size, so
+// records straddle every buffer refill.
 func FuzzDecoder(f *testing.F) {
 	var seed bytes.Buffer
 	WriteBinary(&seed, Trace{{Addr: 7, Op: Write, Think: 1}, {Addr: 0xdeadbeef, Op: Read}})
-	f.Add(seed.Bytes())
-	f.Add([]byte("CCTRACE1"))
-	f.Add([]byte("CCTRACE1\x00\x01"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		batch, batchErr := ReadBinary(bytes.NewReader(in))
+	f.Add(seed.Bytes(), uint16(1))
+	f.Add([]byte("CCTRACE1"), uint16(4096))
+	f.Add([]byte("CCTRACE1\x00\x01"), uint16(2))
+	f.Add([]byte(""), uint16(0))
+	f.Fuzz(func(t *testing.T, in []byte, batch uint16) {
+		want, wantErr := refDecode(bytes.NewReader(in))
 
-		d := NewDecoder(bytes.NewReader(in))
-		var stream Trace
-		var streamErr error
-		for {
-			a, err := d.Next()
-			if err != nil {
-				if err.Error() != "EOF" {
-					streamErr = err
-				}
-				break
+		decode := func(how string, r io.Reader, size int) {
+			d := NewDecoder(r)
+			dst := make([]Access, size)
+			var got Trace
+			var err error
+			for err == nil {
+				var n int
+				n, err = d.DecodeBatch(dst)
+				got = append(got, dst[:n]...)
 			}
-			stream = append(stream, a)
+			if err == io.EOF {
+				err = nil
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: error %v, reference %v", how, err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d records, reference %d", how, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: record %d = %+v, reference %+v", how, i, got[i], want[i])
+				}
+			}
 		}
+		decode("whole", bytes.NewReader(in), 4096)
+		decode("batches of one", bytes.NewReader(in), 1)
+		decode("one byte per read", iotest.OneByteReader(bytes.NewReader(in)), 1+int(batch)%1024)
 
-		if (batchErr == nil) != (streamErr == nil) {
-			t.Fatalf("decoder disagreement: batch err %v, stream err %v", batchErr, streamErr)
+		tr, err := ReadBinary(bytes.NewReader(in))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadBinary err %v, reference %v", err, wantErr)
 		}
-		if batchErr != nil {
+		if err != nil {
 			return
 		}
-		if len(stream) != len(batch) {
-			t.Fatalf("stream decoded %d records, batch %d", len(stream), len(batch))
+		if len(tr) != len(want) {
+			t.Fatalf("ReadBinary decoded %d records, reference %d", len(tr), len(want))
 		}
-		for i := range batch {
-			if stream[i] != batch[i] {
-				t.Fatalf("record %d: stream %+v, batch %+v", i, stream[i], batch[i])
-			}
-		}
-		if _, err := ReadBinaryLimit(bytes.NewReader(in), len(batch)); err != nil {
+		if _, err := ReadBinaryLimit(bytes.NewReader(in), len(want)); err != nil {
 			t.Fatalf("ReadBinaryLimit at exact size failed: %v", err)
 		}
 	})

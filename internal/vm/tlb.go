@@ -67,33 +67,35 @@ type TLB struct {
 	// Counter economy on the lookup path: clock advances once per Lookup, so
 	// Accesses is derived as clock-clockBase (clockBase snapshots clock at
 	// the last ResetStats) and Hits as Accesses-Misses. Only misses and
-	// flushes keep dedicated counters; the memo hit path writes exactly two
+	// flushes keep dedicated counters; the index hit path writes exactly two
 	// words (clock, entry stamp).
 	clock     uint64
 	clockBase uint64
 	misses    int64
 	flushes   int64
 
-	// Last-translation memo: the entry and page number of the most recent
-	// hit or install. Consecutive accesses to the same page — the common
-	// case at cache-line granularity — skip the associative scan with a
-	// single compare against memoPn. The memo is maintained by invariant
-	// rather than validated per use: every mutation that could make it
-	// stale goes through a TLB method (FlushPage, FlushAll, SetASID, an
-	// install in lookupSlow), and each of those either repoints or drops
-	// it, so memo non-nil implies memo is the live, valid entry for
-	// (memoPn, current ASID). The hit updates the entry's recency stamp
-	// exactly like the scan path. (Sets are allocated once in NewTLB and
-	// never reallocated, so the pointer stays valid for the TLB's
-	// lifetime.)
-	memo   *tlbEntry
-	memoPn uint64
+	// Translation index: a direct-mapped array of entry pointers, slot
+	// indexHash(pn), repointed at every hit or install through the set
+	// scan. It is a hint, validated per use like the cache's way hints: a
+	// non-nil slot is trusted only when its entry is valid and holds pn
+	// under the current ASID. Installs never duplicate a (pn, ASID) pair, so
+	// such an entry is the one the scan would find, and the hit updates its
+	// recency stamp exactly like the scan path. Any other slot — empty,
+	// flushed, evicted and reused, another ASID's or another page's — falls
+	// through to the scan, so flushes and ASID switches never touch it.
+	// (Sets are allocated once in NewTLB and never reallocated, so the
+	// pointers stay valid for the TLB's lifetime.)
+	index [1 << indexBits]*tlbEntry
 }
 
-// dropMemo invalidates the last-translation memo.
-func (t *TLB) dropMemo() {
-	t.memo = nil
-	t.memoPn = 0
+// indexBits sizes the translation index at 1<<indexBits slots.
+const indexBits = 6
+
+// indexHash maps a page number to its translation-index slot with a
+// Fibonacci multiplicative hash, so pages that step by a power of two (a
+// workload's regions) still spread over the slots.
+func indexHash(pn uint64) uint64 {
+	return (pn * 0x9e3779b97f4a7c15) >> (64 - indexBits)
 }
 
 // NewTLB builds a TLB over page table pt.
@@ -141,11 +143,11 @@ func (t *TLB) setOf(pn uint64) int { return int(pn % uint64(len(t.sets))) }
 
 // Lookup returns the PTE for the page containing addr and whether it was a
 // TLB hit. On a miss the entry is walked from the page table and installed.
-// The memo fast path lives in this wrapper so it inlines into callers; the
-// associative scan and install stay in lookupSlow.
+// The index fast path lives in this wrapper; the associative scan and
+// install stay in lookupSlow.
 func (t *TLB) Lookup(addr memory.Addr) (PTE, bool) {
 	pn := addr >> t.pgShift
-	if e := t.memo; e != nil && t.memoPn == pn {
+	if e := t.index[indexHash(pn)]; e != nil && e.pn == pn && e.asid == t.asid && e.valid {
 		t.clock++
 		e.stamp = t.clock
 		return e.pte, true
@@ -160,7 +162,7 @@ func (t *TLB) lookupSlow(pn uint64) (PTE, bool) {
 	for i := range set {
 		if set[i].valid && set[i].pn == pn && set[i].asid == t.asid {
 			set[i].stamp = t.clock
-			t.memo, t.memoPn = &set[i], pn
+			t.index[indexHash(pn)] = &set[i]
 			return set[i].pte, true
 		}
 	}
@@ -178,7 +180,7 @@ func (t *TLB) lookupSlow(pn uint64) (PTE, bool) {
 		}
 	}
 	set[victim] = tlbEntry{pn: pn, asid: t.asid, pte: pte, valid: true, stamp: t.clock}
-	t.memo, t.memoPn = &set[victim], pn
+	t.index[indexHash(pn)] = &set[victim]
 	return pte, false
 }
 
@@ -189,7 +191,6 @@ func (t *TLB) lookupSlow(pn uint64) (PTE, bool) {
 // table, which in this simulator is shared and physically tagged).
 func (t *TLB) SetASID(id uint16) {
 	t.asid = id
-	t.dropMemo()
 }
 
 // ASID returns the current address-space identifier.
@@ -204,7 +205,6 @@ func (t *TLB) ASID() uint16 { return t.asid }
 // conformance oracle: the first-match-only flush this replaces diverged
 // from the reference model on ASID-switching scripts.)
 func (t *TLB) FlushPage(pn uint64) bool {
-	t.dropMemo()
 	set := t.sets[t.setOf(pn)]
 	any := false
 	for i := range set {
@@ -219,7 +219,6 @@ func (t *TLB) FlushPage(pn uint64) bool {
 
 // FlushAll invalidates every entry, as on a context switch without ASIDs.
 func (t *TLB) FlushAll() {
-	t.dropMemo()
 	for s := range t.sets {
 		for i := range t.sets[s] {
 			t.sets[s][i].valid = false
