@@ -21,6 +21,10 @@
 #                          cmd/paperbench/testdata/paperbench.golden
 #   paper-json           - paperbench -quick -json at -jobs 1 and -jobs 8:
 #                          byte-identical documents, shapeChecksPassed true
+#   colsim-golden        - colsim's round-robin scheduler (quanta 1 and 64,
+#                          with and without -jobmask) and -stream replay over
+#                          tracegen traces, byte-compared with
+#                          cmd/colsim/testdata/colsim.golden
 #   servebench           - colserved under load (service-smoke.json)
 #   recovery             - kill -9 a durable colserved mid-work, restart,
 #                          prove no accepted job is lost or duplicated
@@ -39,7 +43,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench smoke paper-golden paper-json servebench recovery fabric conformance cover multicore watch ci
+.PHONY: build test race lint fuzz-smoke bench smoke paper-golden paper-json colsim-golden servebench recovery fabric conformance cover multicore watch ci
 
 build:
 	$(GO) build ./...
@@ -100,6 +104,31 @@ paper-json:
 	/tmp/paperbench-json -quick -jobs 8 -json /tmp/paperbench-j8.json > /dev/null
 	cmp /tmp/paperbench-j1.json /tmp/paperbench-j8.json
 	python3 -c "import json; d = json.load(open('/tmp/paperbench-j1.json')); assert d['shapeChecksPassed'] is True, d['shapeChecksPassed']"
+
+# colsim's single-core run paths, pinned: three gzip jobs (seeds 1-3) and
+# idct share the cache under the round-robin scheduler at quanta 1 and 64,
+# with and without per-job masks, and each trace streams through -stream.
+# The traces come from tracegen, so nothing but the golden is committed.
+# A change that moves a number on purpose regenerates the golden in the
+# same commit (cp /tmp/colsim-golden.txt cmd/colsim/testdata/colsim.golden).
+colsim-golden:
+	$(GO) build -o /tmp/colsim-golden ./cmd/colsim
+	$(GO) build -o /tmp/tracegen-golden ./cmd/tracegen
+	for s in 1 2 3; do /tmp/tracegen-golden -workload gzip -seed $$s -binary -o /tmp/colsim-gzip$$s.bin 2>/dev/null; done
+	/tmp/tracegen-golden -workload idct -binary -o /tmp/colsim-idct.bin 2>/dev/null
+	set -e; \
+	traces="/tmp/colsim-gzip1.bin /tmp/colsim-gzip2.bin /tmp/colsim-gzip3.bin /tmp/colsim-idct.bin"; \
+	masks="-jobmask 0:0 -jobmask 1:1 -jobmask 2:2,3"; \
+	{ \
+		for q in 1 64; do \
+			echo "== -quantum $$q"; /tmp/colsim-golden -binary -quantum $$q $$traces; \
+			echo "== -quantum $$q $$masks"; /tmp/colsim-golden -binary -quantum $$q $$masks $$traces; \
+		done; \
+		for t in $$traces; do \
+			echo "== -stream $$(basename $$t)"; /tmp/colsim-golden -binary -stream $$t; \
+		done; \
+	} > /tmp/colsim-golden.txt
+	cmp cmd/colsim/testdata/colsim.golden /tmp/colsim-golden.txt
 
 # Serving benchmark: boot colserved, hammer it with colload, verify the
 # metrics ledger closes, and leave the report in service-smoke.json.
@@ -205,4 +234,4 @@ cover:
 		} \
 		END { if (bad) { print "coverage below the 85% gate"; exit 1 } }'
 
-ci: build lint test fuzz-smoke race bench smoke paper-golden paper-json servebench recovery fabric conformance cover multicore watch
+ci: build lint test fuzz-smoke race bench smoke paper-golden paper-json colsim-golden servebench recovery fabric conformance cover multicore watch

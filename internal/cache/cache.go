@@ -284,6 +284,11 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
+// Misses returns the demand-miss counter alone: the one counter a caller
+// that charges misses per batch (the round-robin scheduler's quanta) reads,
+// without copying the whole Stats.
+func (c *Cache) Misses() int64 { return c.stats.Misses }
+
 // ResetStats zeroes the counters without touching cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 

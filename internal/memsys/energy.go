@@ -1,7 +1,5 @@
 package memsys
 
-import "colcache/internal/memtrace"
-
 // Energy accounting. The paper's related work (§5.2) is full of
 // memory-energy studies because on-chip memory dominates embedded power
 // budgets, and the classic result (Panda et al., Banakar et al.) is that a
@@ -65,12 +63,4 @@ func (s *System) noteEnergy(scratch, uncached, tlbMiss, l1Miss, l2Probed, l2Miss
 			s.energyPJ += e.MemoryAccess
 		}
 	}
-}
-
-// EnergyOfTrace is a convenience: run t on a fresh clone of nothing — the
-// caller's system — and report the energy delta.
-func (s *System) EnergyOfTrace(t memtrace.Trace) int64 {
-	before := s.energyPJ
-	s.Run(t)
-	return s.energyPJ - before
 }

@@ -73,11 +73,3 @@ func TestSetEnergyModel(t *testing.T) {
 		t.Errorf("custom model energy=%d want 1", s.EnergyPJ())
 	}
 }
-
-func TestEnergyOfTrace(t *testing.T) {
-	s := MustNew(smallConfig())
-	tr := memtrace.Trace{{Addr: 0}, {Addr: 0}}
-	if got := s.EnergyOfTrace(tr); got != s.EnergyPJ() {
-		t.Errorf("delta=%d total=%d", got, s.EnergyPJ())
-	}
-}

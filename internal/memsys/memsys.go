@@ -11,6 +11,7 @@ package memsys
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
@@ -198,8 +199,8 @@ func (s *System) SetAccessObserver(o AccessObserver) { s.observer = o }
 // types all the way down, no pointers into the live machine — so it can be
 // published to another goroutine (a metrics scraper, a job-status handler)
 // while the simulation keeps running. It is a full snapshot, not for
-// per-access use: a caller that needs one counter around each access reads
-// that counter (Cache().Stats(), EnergyPJ) or takes deltas across a batch.
+// per-access use: a caller that needs one counter around a batch reads
+// that counter (Cache().Misses(), EnergyPJ) or takes deltas across it.
 func (s *System) Stats() Stats {
 	st := Stats{
 		Instructions:       s.instructions,
@@ -217,11 +218,16 @@ func (s *System) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes counters without touching cache/TLB contents, so
-// measurement can exclude warmup.
+// ResetStats zeroes the machine, L1, L2 and TLB counters without touching
+// any cache or TLB contents, so measurement can exclude warmup. It does not
+// reset the accumulated energy (EnergyPJ), the per-tint statistics
+// (ResetTintStats) or the scratchpad's access count.
 func (s *System) ResetStats() {
 	s.instructions, s.cycles, s.memAccesses, s.scratchAcc, s.uncachedAcc = 0, 0, 0, 0, 0
 	s.cache.ResetStats()
+	if s.l2 != nil {
+		s.l2.cache.ResetStats()
+	}
 	s.tlb.ResetStats()
 }
 
@@ -231,7 +237,10 @@ func (s *System) AddCycles(n int64) { s.cycles += n }
 
 // Access executes one trace access (plus its think instructions) and returns
 // the cycles it consumed.
-func (s *System) Access(a memtrace.Access) int64 { return s.access(a, 0) }
+func (s *System) Access(a memtrace.Access) int64 {
+	_, _, cyc := s.RunBudget([]memtrace.Access{a}, math.MaxInt64, 0)
+	return cyc
+}
 
 // AccessMasked is Access with the tint-derived column mask replaced by the
 // given one. This models process-granularity partitioning — the Sun patent
@@ -239,45 +248,88 @@ func (s *System) Access(a memtrace.Access) int64 { return s.access(a, 0) }
 // applies to every one of its accesses, regardless of address. A zero mask
 // falls back to the tint mechanism.
 func (s *System) AccessMasked(a memtrace.Access, override replacement.Mask) int64 {
-	return s.access(a, override)
+	_, _, cyc := s.RunBudget([]memtrace.Access{a}, math.MaxInt64, override)
+	return cyc
 }
 
+// Run executes an entire trace and returns the cycles consumed.
+func (s *System) Run(t memtrace.Trace) int64 {
+	_, _, cyc := s.RunBudget(t, math.MaxInt64, 0)
+	return cyc
+}
+
+// RunBudget is the machine's one run loop. It executes t from its start
+// until budget instructions have executed or t ends; the access that
+// reaches the budget completes even if it overshoots, as a real
+// instruction is atomic. A non-zero override replaces the tint-derived
+// column mask of every access, as in AccessMasked. It returns the accesses
+// executed, the instructions they retired and the cycles they consumed.
+//
+// Instructions, cycles and memory accesses ride in locals and land on the
+// machine once per call. That is exact because nothing reads those
+// counters during the batch: observers see only their callback's
+// arguments, and AddCycles and Stats run between batches.
+func (s *System) RunBudget(t memtrace.Trace, budget int64, override replacement.Mask) (n int, instrs, cycles int64) {
+	for n < len(t) && instrs < budget {
+		a := t[n]
+		n++
+		instrs += int64(a.Think) + 1
+		cycles += s.access(a, override)
+	}
+	s.instructions += instrs
+	s.cycles += cycles
+	s.memAccesses += int64(n)
+	return n, instrs, cycles
+}
+
+// access executes one access and returns the cycles it consumed; the
+// caller charges them, and the instruction and access counts, to the
+// machine. An L1 hit on the set's memoized way (cache.HitFast) skips the
+// tint mask lookup and the cache.Result, exactly as the multicore
+// stepper's access does: the mask governs replacement only, which a hit
+// never reaches.
 func (s *System) access(a memtrace.Access, override replacement.Mask) int64 {
-	start := s.cycles
-	s.instructions += int64(a.Think) + 1
-	s.cycles += int64(a.Think) * int64(s.timing.NonMemInstr)
-	s.memAccesses++
+	cyc := int64(a.Think) * int64(s.timing.NonMemInstr)
 
 	// Dedicated scratchpad regions bypass the whole cache hierarchy.
 	if s.scratch.Contains(a.Addr) {
 		s.scratch.Note()
 		s.scratchAcc++
-		s.cycles += int64(s.timing.ScratchpadHit)
 		s.noteEnergy(true, false, false, false, false, false)
-		return s.cycles - start
+		return cyc + int64(s.timing.ScratchpadHit)
 	}
 
 	pte, tlbHit := s.tlb.Lookup(a.Addr)
 	if !tlbHit {
-		s.cycles += int64(s.timing.TLBMiss)
+		cyc += int64(s.timing.TLBMiss)
 	}
 	if pte.Uncached {
 		s.uncachedAcc++
-		s.cycles += int64(s.timing.Uncached)
 		s.noteEnergy(false, true, !tlbHit, false, false, false)
-		return s.cycles - start
+		return cyc + int64(s.timing.Uncached)
 	}
 
-	mask := s.tints.Mask(pte.Tint)
-	if override != 0 {
-		mask = override
+	isWrite := a.Op == memtrace.Write
+	cyc += int64(s.timing.CacheHit)
+	if isWrite && s.cache.Config().Write == cache.WriteThroughNoAllocate {
+		cyc += int64(s.timing.WriteThroughStore)
+	}
+	if _, _, ok := s.cache.HitFast(a.Addr, isWrite); ok {
+		s.noteTintAccess(pte.Tint, false)
+		if s.observer != nil {
+			s.observer.ObserveAccess(pte.Tint, a.Addr, false)
+		}
+		s.noteEnergy(false, false, !tlbHit, false, false, false)
+		return cyc
+	}
+
+	mask := override
+	if mask == 0 {
+		mask = s.tints.Mask(pte.Tint)
 	}
 	var res cache.Result
-	if a.Op == memtrace.Write {
+	if isWrite {
 		res = s.cache.Write(a.Addr, mask)
-		if s.cache.Config().Write == cache.WriteThroughNoAllocate {
-			s.cycles += int64(s.timing.WriteThroughStore)
-		}
 	} else {
 		res = s.cache.Read(a.Addr, mask)
 	}
@@ -285,7 +337,6 @@ func (s *System) access(a memtrace.Access, override replacement.Mask) int64 {
 	if s.observer != nil {
 		s.observer.ObserveAccess(pte.Tint, a.Addr, !res.Hit)
 	}
-	s.cycles += int64(s.timing.CacheHit)
 	l2Miss := false
 	if !res.Hit {
 		if s.l2 != nil {
@@ -293,27 +344,18 @@ func (s *System) access(a memtrace.Access, override replacement.Mask) int64 {
 			if res.Writeback {
 				evicted = s.evictedAddrOf(a, res)
 			}
-			var cyc int64
-			cyc, l2Miss = s.l2Access(a, mask, res.Writeback, evicted)
-			s.cycles += cyc
+			var l2cyc int64
+			l2cyc, l2Miss = s.l2Access(a, mask, res.Writeback, evicted)
+			cyc += l2cyc
 		} else {
-			s.cycles += int64(s.timing.MissPenalty)
+			cyc += int64(s.timing.MissPenalty)
 			if res.Writeback {
-				s.cycles += int64(s.timing.Writeback)
+				cyc += int64(s.timing.Writeback)
 			}
 		}
 	}
 	s.noteEnergy(false, false, !tlbHit, !res.Hit, s.l2 != nil, l2Miss)
-	return s.cycles - start
-}
-
-// Run executes an entire trace and returns the cycles consumed.
-func (s *System) Run(t memtrace.Trace) int64 {
-	var total int64
-	for _, a := range t {
-		total += s.Access(a)
-	}
-	return total
+	return cyc
 }
 
 // RunOptions parameterize RunContext.

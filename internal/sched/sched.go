@@ -169,33 +169,28 @@ func (rr *RoundRobin) runQuantum(idx int) bool {
 	if rr.UseASIDs {
 		rr.Sys.TLB().SetASID(uint16(idx))
 	}
-	quantum := rr.effectiveQuantum()
-	// Nothing but the scheduler runs the machine during a quantum, so
-	// the job's misses and energy are the deltas of the machine counters
-	// across it. Read them once per quantum, and only the small cache.Stats:
-	// at quantum 1 a quantum is a single access.
-	missesBefore := rr.Sys.Cache().Stats().Misses
+	// The quantum stops at whichever comes first, its own length or the
+	// job's target; the access that reaches it may overshoot.
+	budget := min(rr.effectiveQuantum(), j.TargetInstructions-j.executed)
+	// Nothing but the scheduler runs the machine during a quantum, so the
+	// job's misses and energy are the deltas of the machine counters
+	// across it, read once per quantum.
+	missesBefore := rr.Sys.Cache().Misses()
 	energyBefore := rr.Sys.EnergyPJ()
 	var ran int64
-	for ran < quantum && !j.Done() {
-		a := j.Trace[j.pos]
-		j.pos++
-		if j.pos == len(j.Trace) {
+	for ran < budget {
+		// One batch to the budget or the end of the trace; a trace that
+		// wraps within the quantum continues from its start.
+		n, instrs, cycles := rr.Sys.RunBudget(j.Trace[j.pos:], budget-ran, j.Mask)
+		if j.pos += n; j.pos == len(j.Trace) {
 			j.pos = 0
 		}
-		var cyc int64
-		if j.Mask != 0 {
-			cyc = rr.Sys.AccessMasked(a, j.Mask)
-		} else {
-			cyc = rr.Sys.Access(a)
-		}
-		instr := int64(a.Think) + 1
-		ran += instr
-		j.executed += instr
-		j.cycles += cyc
-		j.accesses++
+		ran += instrs
+		j.cycles += cycles
+		j.accesses += int64(n)
 	}
-	j.misses += rr.Sys.Cache().Stats().Misses - missesBefore
+	j.executed += ran
+	j.misses += rr.Sys.Cache().Misses() - missesBefore
 	j.energyPJ += rr.Sys.EnergyPJ() - energyBefore
 	return true
 }
