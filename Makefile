@@ -22,8 +22,10 @@
 #   paper-json           - paperbench -quick -json at -jobs 1 and -jobs 8:
 #                          byte-identical documents, shapeChecksPassed true
 #   colsim-golden        - colsim's round-robin scheduler (quanta 1 and 64,
-#                          with and without -jobmask) and -stream replay over
-#                          tracegen traces, byte-compared with
+#                          with and without -jobmask), -stream replay and the
+#                          -cores N stepper (with -l2cols, replicated, and
+#                          -inspect-every frames) over tracegen traces,
+#                          byte-compared with
 #                          cmd/colsim/testdata/colsim.golden
 #   servebench           - colserved under load (service-smoke.json)
 #   recovery             - kill -9 a durable colserved mid-work, restart,
@@ -105,9 +107,14 @@ paper-json:
 	cmp /tmp/paperbench-j1.json /tmp/paperbench-j8.json
 	python3 -c "import json; d = json.load(open('/tmp/paperbench-j1.json')); assert d['shapeChecksPassed'] is True, d['shapeChecksPassed']"
 
-# colsim's single-core run paths, pinned: three gzip jobs (seeds 1-3) and
-# idct share the cache under the round-robin scheduler at quanta 1 and 64,
-# with and without per-job masks, and each trace streams through -stream.
+# colsim's run paths, pinned: three gzip jobs (seeds 1-3) and idct share
+# the cache under the round-robin scheduler at quanta 1 and 64, with and
+# without per-job masks, and each trace streams through -stream. The
+# multicore stepper runs the four traces on 4 cores (they alias, so
+# interventions, upgrades and writeback races all occur) with and without
+# per-core L2 columns, the gzip traces on 3 cores, idct replicated on 4
+# cores (every arbitration pick ties), and the last frames plus summary of
+# an inspected 4-core run.
 # The traces come from tracegen, so nothing but the golden is committed.
 # A change that moves a number on purpose regenerates the golden in the
 # same commit (cp /tmp/colsim-golden.txt cmd/colsim/testdata/colsim.golden).
@@ -117,8 +124,10 @@ colsim-golden:
 	for s in 1 2 3; do /tmp/tracegen-golden -workload gzip -seed $$s -binary -o /tmp/colsim-gzip$$s.bin 2>/dev/null; done
 	/tmp/tracegen-golden -workload idct -binary -o /tmp/colsim-idct.bin 2>/dev/null
 	set -e; \
-	traces="/tmp/colsim-gzip1.bin /tmp/colsim-gzip2.bin /tmp/colsim-gzip3.bin /tmp/colsim-idct.bin"; \
+	gzip="/tmp/colsim-gzip1.bin /tmp/colsim-gzip2.bin /tmp/colsim-gzip3.bin"; \
+	traces="$$gzip /tmp/colsim-idct.bin"; \
 	masks="-jobmask 0:0 -jobmask 1:1 -jobmask 2:2,3"; \
+	l2cols="-l2cols 0:0,1 -l2cols 1:2,3 -l2cols 2:4,5 -l2cols 3:6,7"; \
 	{ \
 		for q in 1 64; do \
 			echo "== -quantum $$q"; /tmp/colsim-golden -binary -quantum $$q $$traces; \
@@ -127,6 +136,12 @@ colsim-golden:
 		for t in $$traces; do \
 			echo "== -stream $$(basename $$t)"; /tmp/colsim-golden -binary -stream $$t; \
 		done; \
+		echo "== -cores 4"; /tmp/colsim-golden -binary -cores 4 $$traces; \
+		echo "== -cores 4 $$l2cols"; /tmp/colsim-golden -binary -cores 4 $$l2cols $$traces; \
+		echo "== -cores 3 gzip"; /tmp/colsim-golden -binary -cores 3 $$gzip; \
+		echo "== -cores 4 idct"; /tmp/colsim-golden -binary -cores 4 /tmp/colsim-idct.bin; \
+		/tmp/colsim-golden -binary -cores 4 -inspect-every 5000 -inspect-out - $$traces > /tmp/colsim-golden-frames.txt; \
+		echo "== -cores 4 -inspect-every 5000 (last frames)"; tail -n 12 /tmp/colsim-golden-frames.txt; \
 	} > /tmp/colsim-golden.txt
 	cmp cmd/colsim/testdata/colsim.golden /tmp/colsim-golden.txt
 

@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"fmt"
+	"math"
 
 	"colcache/internal/memory"
 )
@@ -76,10 +77,21 @@ func (m *Machine) noteReadHit(c *core, lineAddr memory.Addr) {
 	}
 }
 
-// checkStep runs the structural invariants after a step.
+// checkStep runs the structural invariants after a step, and verifies that
+// the arbitration array mirrors the cores: a live core's entry is its cycle
+// count, and an entry is MaxInt64 exactly when its core is exhausted.
 func (m *Machine) checkStep() error {
 	if m.violation != nil {
 		return m.violation
+	}
+	for i, c := range m.cores {
+		exhausted := c.pos >= len(c.trace)
+		if exhausted != (m.clock[i] == math.MaxInt64) {
+			return fmt.Errorf("multicore: core %d clock entry %d disagrees with exhausted=%v", i, m.clock[i], exhausted)
+		}
+		if !exhausted && m.clock[i] != c.cycles {
+			return fmt.Errorf("multicore: core %d clock entry %d != cycles %d", i, m.clock[i], c.cycles)
+		}
 	}
 	return m.CheckInvariants()
 }

@@ -13,15 +13,18 @@
 // The stepper is serial and deterministic: each step picks the core with
 // the smallest local cycle count (ties break to the lowest core index —
 // fixed round-robin arbitration) and executes its next trace access to
-// completion, including every bus transaction it triggers. Step is the
-// reference definition of that arbitration; Run and RunContext batch the
-// same loop between events. Runs are therefore reproducible bit-for-bit at
-// any host parallelism; the experiment runner's -jobs knob only fans out
-// across independent machines.
+// completion, including every bus transaction it triggers. pick is the one
+// definition of that arbitration, a min scan over a dense array of the
+// cores' clocks, and advance the one way a core executes an access; Step
+// (one access, with the invariant checks) and runBatch (the checks-off
+// loop behind Run and RunContext) both call the two. Runs are therefore
+// reproducible bit-for-bit at any host parallelism; the experiment
+// runner's -jobs knob only fans out across independent machines.
 package multicore
 
 import (
 	"fmt"
+	"math"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
@@ -100,6 +103,15 @@ type core struct {
 	upgrades          int64
 }
 
+// clock is the core's entry in the machine's arbitration array: its cycle
+// count while it has accesses left, MaxInt64 once its trace is exhausted.
+func (c *core) clock() int64 {
+	if c.pos >= len(c.trace) {
+		return math.MaxInt64
+	}
+	return c.cycles
+}
+
 // CoreStats snapshots one core's counters.
 type CoreStats struct {
 	Instructions     int64
@@ -167,9 +179,12 @@ func (s Stats) CPI() float64 {
 // Machine is the multicore simulator. Like memsys.System it is not safe for
 // concurrent use: determinism comes from the serial stepper.
 type Machine struct {
-	g       memory.Geometry
-	timing  memsys.Timing
-	cores   []*core
+	g      memory.Geometry
+	timing memsys.Timing
+	cores  []*core
+	// clock mirrors every core's clock() in one dense array, so arbitration
+	// (pick) scans contiguous int64s instead of chasing core pointers.
+	clock   []int64
 	l2      *cache.Cache
 	l2tints *tint.Table
 	l2Hit   int
@@ -273,7 +288,7 @@ func New(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multicore: core %d TLB: %w", i, err)
 		}
-		m.cores = append(m.cores, &core{
+		c := &core{
 			id:     i,
 			l1:     l1,
 			tints:  tint.NewTable(cfg.L1.NumWays),
@@ -281,7 +296,9 @@ func New(cfg Config) (*Machine, error) {
 			tlb:    tlb,
 			trace:  tr,
 			l2tint: m.l2tints.NewTint(fmt.Sprintf("core%d", i)),
-		})
+		}
+		m.cores = append(m.cores, c)
+		m.clock = append(m.clock, c.clock())
 	}
 	if cfg.Checks {
 		m.check = newChecker(len(m.cores))
@@ -369,7 +386,7 @@ func (m *Machine) CoreStatsAt(i int) CoreStats {
 	return CoreStats{
 		Instructions:      c.instructions,
 		Cycles:            c.cycles,
-		MemAccesses:       int64(c.pos),
+		MemAccesses:       int64(c.pos), // one access per executed trace entry
 		UncachedAccesses:  c.uncachedAcc,
 		L1:                c.l1.Stats(),
 		TLB:               c.tlb.Stats(),
@@ -392,14 +409,7 @@ func (m *Machine) SetInspector(every int64, fn func(done int64)) {
 }
 
 // Done reports whether every core has exhausted its trace.
-func (m *Machine) Done() bool {
-	for _, c := range m.cores {
-		if c.pos < len(c.trace) {
-			return false
-		}
-	}
-	return true
-}
+func (m *Machine) Done() bool { return m.pick() < 0 }
 
 // Stats snapshots every counter; the copy shares nothing with the machine.
 func (m *Machine) Stats() Stats {
@@ -409,21 +419,10 @@ func (m *Machine) Stats() Stats {
 		DirtyCreated: m.dirtyCreated,
 		DirtyRetired: m.dirtyRetired,
 	}
-	for _, c := range m.cores {
-		cs := CoreStats{
-			Instructions:      c.instructions,
-			Cycles:            c.cycles,
-			MemAccesses:       int64(c.pos), // one access per executed trace entry
-			UncachedAccesses:  c.uncachedAcc,
-			L1:                c.l1.Stats(),
-			TLB:               c.tlb.Stats(),
-			L2Accesses:        c.l2Accesses,
-			L2Misses:          c.l2Misses,
-			InvalidationsRecv: c.invalidationsRecv,
-			Interventions:     c.interventions,
-			Upgrades:          c.upgrades,
-		}
-		st.Cores = append(st.Cores, cs)
+	st.Cores = make([]CoreStats, len(m.cores))
+	for i := range m.cores {
+		cs := m.CoreStatsAt(i)
+		st.Cores[i] = cs
 		st.Instructions += cs.Instructions
 		if cs.Cycles > st.Cycles {
 			st.Cycles = cs.Cycles

@@ -9,11 +9,7 @@ import (
 	"colcache/internal/memtrace"
 )
 
-// Step advances the machine by one trace access on the core whose local
-// clock is furthest behind — smallest cycle count, ties broken by lowest
-// core index. This fixed arbitration makes a run a pure function of the
-// configuration and traces: replaying the same inputs interleaves the cores
-// identically regardless of host parallelism.
+// Step advances the machine by one trace access on the core pick chooses.
 //
 // It returns false when every trace is exhausted, and a non-nil error only
 // when Config.Checks is on and a coherence invariant was violated.
@@ -21,25 +17,46 @@ func (m *Machine) Step() (bool, error) {
 	if m.violation != nil {
 		return false, m.violation
 	}
-	var next *core
-	for _, c := range m.cores {
-		if c.pos >= len(c.trace) {
-			continue
-		}
-		if next == nil || c.cycles < next.cycles {
-			next = c
-		}
-	}
-	if next == nil {
+	i := m.pick()
+	if i < 0 {
 		return false, nil
 	}
-	next.instructions += int64(next.trace[next.pos].Think) + 1
-	next.cycles += m.access(next, next.trace[next.pos])
-	next.pos++
+	m.advance(i)
 	if m.check != nil {
 		m.violation = m.checkStep()
 	}
 	return true, m.violation
+}
+
+// pick is the machine's one definition of arbitration: the core whose local
+// clock is furthest behind — smallest cycle count, ties broken by lowest
+// core index — or -1 when every trace is exhausted. This fixed arbitration
+// makes a run a pure function of the configuration and traces: replaying
+// the same inputs interleaves the cores identically regardless of host
+// parallelism. The scan reads only the dense clock array, where an
+// exhausted core sits at MaxInt64 and so never wins the strict <; the
+// compiler turns the select into conditional moves, so the scan has no
+// data-dependent branch.
+func (m *Machine) pick() int {
+	next, least := -1, int64(math.MaxInt64)
+	for i, t := range m.clock {
+		if t < least {
+			next, least = i, t
+		}
+	}
+	return next
+}
+
+// advance executes core i's next trace access and refreshes its clock
+// entry. Within one access only the stepping core's cycles move (the bus
+// helpers charge the requestor), so one refresh keeps the mirror exact.
+func (m *Machine) advance(i int) {
+	c := m.cores[i]
+	a := c.trace[c.pos]
+	c.instructions += int64(a.Think) + 1
+	c.cycles += m.access(c, a)
+	c.pos++
+	m.clock[i] = c.clock()
 }
 
 // Run steps the machine until every trace is exhausted (or a check fails).
@@ -60,6 +77,7 @@ func (m *Machine) Run() error {
 		c.instructions += ins
 		c.cycles += cyc
 		c.pos = len(c.trace)
+		m.clock[0] = math.MaxInt64
 		return nil
 	}
 	_, err := m.batch(math.MaxInt64)
@@ -149,31 +167,23 @@ func (m *Machine) batch(limit int64) (int64, error) {
 	return ran, nil
 }
 
-// runBatch executes at most limit accesses of the tight checks-off
-// arbitration loop — Step's arbitration without its violation bookkeeping —
-// and returns how many ran (short only when every trace is exhausted). It
-// must stay a small dedicated function: inlining this loop into
-// RunContext's event bookkeeping puts enough variables live across the
-// m.access call that the register allocator spills on every iteration,
-// costing ~25% of the stepper's throughput.
+// runBatch executes at most limit accesses of the checks-off loop — pick
+// and advance without Step's violation bookkeeping — and returns how many
+// ran (short only when every trace is exhausted). It must stay a small
+// dedicated function. Every register is caller-saved across the advance
+// call, so whatever the loop keeps live is reloaded on every access: here
+// that is m, limit and ran, and pick's scan runs entirely in registers.
+// Inlined into RunContext's event bookkeeping, the same loop reloads about
+// a dozen values per access and keeps the scan's running minimum on the
+// stack.
 func (m *Machine) runBatch(limit int64) int64 {
 	var ran int64
 	for ran < limit {
-		var next *core
-		for _, c := range m.cores {
-			if c.pos >= len(c.trace) {
-				continue
-			}
-			if next == nil || c.cycles < next.cycles {
-				next = c
-			}
-		}
-		if next == nil {
+		i := m.pick()
+		if i < 0 {
 			break
 		}
-		next.instructions += int64(next.trace[next.pos].Think) + 1
-		next.cycles += m.access(next, next.trace[next.pos])
-		next.pos++
+		m.advance(i)
 		ran++
 	}
 	return ran
