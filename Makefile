@@ -26,7 +26,9 @@
 #                          -cores N stepper (with -l2cols, replicated, and
 #                          -inspect-every frames) over tracegen traces,
 #                          byte-compared with
-#                          cmd/colsim/testdata/colsim.golden
+#                          cmd/colsim/testdata/colsim.golden; then a
+#                          streamed -cores 3 run over a trace cut
+#                          mid-record must fail and name the file
 #   servebench           - colserved under load (service-smoke.json)
 #   recovery             - kill -9 a durable colserved mid-work, restart,
 #                          prove no accepted job is lost or duplicated
@@ -114,7 +116,10 @@ paper-json:
 # interventions, upgrades and writeback races all occur) with and without
 # per-core L2 columns, the gzip traces on 3 cores, idct replicated on 4
 # cores (every arbitration pick ties), and the last frames plus summary of
-# an inspected 4-core run.
+# an inspected 4-core run. The -cores runs over one file per core stream
+# the files through the stepper's decode windows. Last, -cores 3 over two
+# gzip traces and a copy of the third cut mid-record must exit non-zero,
+# name the cut file on stderr and print no statistics.
 # The traces come from tracegen, so nothing but the golden is committed.
 # A change that moves a number on purpose regenerates the golden in the
 # same commit (cp /tmp/colsim-golden.txt cmd/colsim/testdata/colsim.golden).
@@ -144,6 +149,13 @@ colsim-golden:
 		echo "== -cores 4 -inspect-every 5000 (last frames)"; tail -n 12 /tmp/colsim-golden-frames.txt; \
 	} > /tmp/colsim-golden.txt
 	cmp cmd/colsim/testdata/colsim.golden /tmp/colsim-golden.txt
+	size=$$(wc -c < /tmp/colsim-gzip3.bin); head -c $$((size - 5)) /tmp/colsim-gzip3.bin > /tmp/colsim-cut.bin
+	if /tmp/colsim-golden -binary -cores 3 /tmp/colsim-gzip1.bin /tmp/colsim-gzip2.bin /tmp/colsim-cut.bin \
+		> /tmp/colsim-cut.out 2> /tmp/colsim-cut.err; then \
+		echo "colsim-golden: -cores 3 over a cut trace exited 0"; exit 1; \
+	fi
+	grep -q /tmp/colsim-cut.bin /tmp/colsim-cut.err
+	! grep -qE '^(core|bus:|L2:)' /tmp/colsim-cut.out
 
 # Serving benchmark: boot colserved, hammer it with colload, verify the
 # metrics ledger closes, and leave the report in service-smoke.json.

@@ -23,8 +23,10 @@
 // (internal/multicore): each core replays one trace through a private L1
 // kept coherent by a snooping MSI bus over a shared, column-partitioned L2
 // (-l2sets/-l2ways/-l2hit). One trace per core; a single trace is replicated
-// to every core in disjoint 4GB address windows. -l2cols core:col[,col...]
-// restricts a core's L2 replacement to the given columns (repeatable).
+// to every core in disjoint 4GB address windows. N -binary trace files are
+// streamed, one per core, instead of being loaded first. -l2cols
+// core:col[,col...] restricts a core's L2 replacement to the given columns
+// (repeatable).
 //
 // Example: isolate a stream at 0x1000 (4KB) in column 0 of a 16KB cache:
 //
@@ -35,6 +37,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -130,12 +133,14 @@ func main() {
 		tr     memtrace.Trace
 		err    error
 	)
+	// -cores N over N binary files streams each file to its core.
+	streamCores := *cores > 0 && *binary && *synthKind == "" && flag.NArg() == *cores
 	if *stream {
 		if !*binary || *synthKind != "" || *cores > 0 || *reuse || flag.NArg() != 1 {
 			fmt.Fprintln(os.Stderr, "colsim: -stream wants exactly one -binary trace file (no -synth, -cores or -reuse)")
 			os.Exit(1)
 		}
-	} else {
+	} else if !streamCores {
 		traces, err = loadTraces(*synthKind, *synthN, *binary)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
@@ -156,7 +161,11 @@ func main() {
 	}
 
 	if *cores > 0 {
-		if err := runMulticore(traces, *cores, *lineBytes, *sets, *ways, *pageBytes,
+		var paths []string
+		if streamCores {
+			paths = flag.Args()
+		}
+		if err := runMulticore(traces, paths, *cores, *lineBytes, *sets, *ways, *pageBytes,
 			*policy, *penalty, *l2sets, *l2ways, *l2hit, l2cols,
 			*inspEvery, *inspOut); err != nil {
 			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
@@ -319,12 +328,32 @@ func main() {
 }
 
 // runMulticore executes the -cores path: one trace per core through private
-// L1 column caches kept coherent over a shared column-partitioned L2.
-func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageBytes int,
+// L1 column caches kept coherent over a shared column-partitioned L2. The
+// traces are in memory, or, when paths is non-nil, each path is a binary
+// trace file streamed to its core; the files close after the run.
+func runMulticore(traces []memtrace.Trace, paths []string, cores, lineBytes, sets, ways, pageBytes int,
 	policy string, penalty, l2sets, l2ways, l2hit int, l2cols jobMaskFlag,
 	inspEvery int, inspOut string) error {
+	var decoders []*memtrace.Decoder
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		decoders = append(decoders, memtrace.NewDecoder(f))
+	}
+	// nameFile prefixes a streamed core's decode error with its file.
+	nameFile := func(err error) error {
+		var te *multicore.TraceError
+		if errors.As(err, &te) && paths != nil {
+			return fmt.Errorf("%s: %w", paths[te.Core], err)
+		}
+		return err
+	}
 	replicated := false
 	switch {
+	case decoders != nil: // one streamed file per core, as main checked
 	case len(traces) == 1 && cores > 1:
 		replicated = true
 		// Replicate the single trace into disjoint per-core address windows.
@@ -365,9 +394,10 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 		Timing:      timing,
 		L2HitCycles: l2hit,
 		Traces:      traces,
+		Decoders:    decoders,
 	})
 	if err != nil {
-		return err
+		return nameFile(err)
 	}
 	for i, mask := range l2cols.masks {
 		if i >= m.NumCores() {
@@ -395,12 +425,8 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 		red := inspect.NewMachineReducer(m, owner)
 		enc := json.NewEncoder(out)
 		var frame inspect.Frame
-		var total int64
-		for _, t := range traces {
-			total += int64(len(t))
-		}
 		m.SetInspector(int64(inspEvery), func(done int64) {
-			red.Reduce(&frame, done, done == total)
+			red.Reduce(&frame, done, m.Done())
 			if err := enc.Encode(&frame); err != nil && encErr == nil {
 				encErr = err
 			}
@@ -413,7 +439,7 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 		err = m.Run()
 	}
 	if err != nil {
-		return err
+		return nameFile(err)
 	}
 	if closeOut != nil {
 		if err := closeOut(); err != nil {
@@ -571,8 +597,14 @@ func readTraceFile(path string, binary bool) (memtrace.Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
+	var tr memtrace.Trace
 	if binary {
-		return memtrace.ReadBinary(f)
+		tr, err = memtrace.ReadBinary(f)
+	} else {
+		tr, err = memtrace.ReadText(f)
 	}
-	return memtrace.ReadText(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return tr, nil
 }

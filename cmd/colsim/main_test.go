@@ -1,13 +1,70 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
 	"colcache/internal/memsys"
+	"colcache/internal/memtrace"
 	"colcache/internal/replacement"
 )
+
+// TestMain runs colsim's main instead of the tests when the test binary
+// is re-executed by runColsim.
+func TestMain(m *testing.M) {
+	if os.Getenv("COLSIM_TEST_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runColsim runs colsim with args in a child process and returns its
+// stdout, stderr and exit code.
+func runColsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "COLSIM_TEST_RUN_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// writeTraceFile writes a random n-record binary trace into dir and
+// returns its path and bytes.
+func writeTraceFile(t *testing.T, dir, name string, seed int64, n int) (string, []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	tr := make(memtrace.Trace, n)
+	for i := range tr {
+		tr[i] = memtrace.Access{Addr: uint64(rng.Intn(1 << 16)), Op: memtrace.Op(rng.Intn(2))}
+	}
+	var buf bytes.Buffer
+	if err := memtrace.WriteBinary(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, buf.Bytes()
+}
 
 func TestMapFlagParsing(t *testing.T) {
 	var m mapFlag
@@ -132,5 +189,55 @@ func TestJobMaskFlag(t *testing.T) {
 		if err := j.Set(bad); err == nil {
 			t.Errorf("Set(%q) succeeded", bad)
 		}
+	}
+}
+
+// -cores 3 streams three binary files; a corrupt one fails the run with
+// its path on stderr and no statistics on stdout, whether the fault is a
+// bad header (found before the run) or a record cut short mid-stream.
+func TestMulticoreCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := writeTraceFile(t, dir, "a.bin", 1, 10000)
+	b, _ := writeTraceFile(t, dir, "b.bin", 2, 10000)
+	_, c := writeTraceFile(t, dir, "c.bin", 3, 10000)
+	for name, bad := range map[string][]byte{
+		"cut.bin":      c[:len(c)-5],
+		"badmagic.bin": append([]byte("XXXXXXXX"), c[8:]...),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := runColsim(t, "-binary", "-cores", "3", a, path, b)
+		if code == 0 {
+			t.Errorf("%s: colsim exited 0", name)
+		}
+		if !strings.Contains(stderr, path) || !strings.Contains(stderr, "core 1") {
+			t.Errorf("%s: stderr %q does not name the file and core 1", name, stderr)
+		}
+		for _, line := range strings.Split(stdout, "\n") {
+			for _, p := range []string{"core", "bus:", "L2:"} {
+				if strings.HasPrefix(line, p) {
+					t.Errorf("%s: statistics printed after a failed run: %q", name, line)
+				}
+			}
+		}
+	}
+	// The intact files run.
+	if stdout, stderr, code := runColsim(t, "-binary", "-cores", "2", a, b); code != 0 || !strings.Contains(stdout, "makespan:") {
+		t.Fatalf("intact run: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// A trace that fails to load is named in the error.
+func TestReadTraceFileNamesPath(t *testing.T) {
+	dir := t.TempDir()
+	_, data := writeTraceFile(t, dir, "ok.bin", 1, 10)
+	path := filepath.Join(dir, "cut.bin")
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readTraceFile(path, true); err == nil || !strings.HasPrefix(err.Error(), path+": ") {
+		t.Fatalf("readTraceFile = %v, want an error starting with %q", err, path+": ")
 	}
 }

@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -38,16 +39,22 @@ func benchTraces(n, accesses int) []memtrace.Trace {
 	return traces
 }
 
-func benchMachine(b *testing.B, cores, accesses int) *Machine {
-	b.Helper()
-	m, err := New(Config{
+// benchConfig is the benchmarks' machine, with no traces yet.
+func benchConfig() Config {
+	return Config{
 		Geometry:    memory.MustGeometry(32, 4096),
 		L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
 		L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
 		Timing:      memsys.DefaultTiming,
 		L2HitCycles: 6,
-		Traces:      benchTraces(cores, accesses),
-	})
+	}
+}
+
+func benchMachine(b *testing.B, cores, accesses int) *Machine {
+	b.Helper()
+	cfg := benchConfig()
+	cfg.Traces = benchTraces(cores, accesses)
+	m, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,6 +73,58 @@ func BenchmarkStepper(b *testing.B) {
 				b.StopTimer()
 				m := benchMachine(b, cores, accesses)
 				b.StartTimer()
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses*cores), "ns/access")
+		})
+	}
+}
+
+// BenchmarkDecodeAndRun measures a whole 8-core run from binary traces, as
+// colsim -cores runs them: readall decodes every core's trace into memory
+// first (ReadBinary per core), streamed reads each through its decode
+// window. One op decodes and runs eight 256 Ki-record traces held in
+// memory as bytes; ns/access reports the per-access cost, decode included.
+func BenchmarkDecodeAndRun(b *testing.B) {
+	const cores, accesses = 8, 256 << 10
+	encoded := make([][]byte, cores)
+	for i, tr := range benchTraces(cores, accesses) {
+		encoded[i] = encode(b, tr)
+	}
+	cases := []struct {
+		name  string
+		input func(cfg *Config) error
+	}{
+		{"readall", func(cfg *Config) error {
+			cfg.Traces = make([]memtrace.Trace, cores)
+			for i, enc := range encoded {
+				tr, err := memtrace.ReadBinary(bytes.NewReader(enc))
+				if err != nil {
+					return err
+				}
+				cfg.Traces[i] = tr
+			}
+			return nil
+		}},
+		{"streamed", func(cfg *Config) error {
+			cfg.Decoders = decoders(encoded)
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := benchConfig()
+				if err := tc.input(&cfg); err != nil {
+					b.Fatal(err)
+				}
+				m, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if err := m.Run(); err != nil {
 					b.Fatal(err)
 				}

@@ -63,29 +63,34 @@ func (m *Machine) noteDrop(c *core, lineAddr memory.Addr) {
 // noteReadHit verifies a read hit against the shadow model: the copy must
 // exist and carry the line's latest write version.
 func (m *Machine) noteReadHit(c *core, lineAddr memory.Addr) {
-	if m.check == nil || m.violation != nil {
+	if m.check == nil || m.err != nil {
 		return
 	}
 	have, ok := m.check.copies[c.id][lineAddr]
 	if !ok {
-		m.violation = fmt.Errorf("multicore: core %d read hit on line %#x with no recorded copy", c.id, lineAddr)
+		m.err = fmt.Errorf("multicore: core %d read hit on line %#x with no recorded copy", c.id, lineAddr)
 		return
 	}
 	if want := m.check.version[lineAddr]; have != want {
-		m.violation = fmt.Errorf("multicore: core %d read hit on stale line %#x (copy version %d, latest write %d)",
+		m.err = fmt.Errorf("multicore: core %d read hit on stale line %#x (copy version %d, latest write %d)",
 			c.id, lineAddr, have, want)
 	}
 }
 
 // checkStep runs the structural invariants after a step, and verifies that
 // the arbitration array mirrors the cores: a live core's entry is its cycle
-// count, and an entry is MaxInt64 exactly when its core is exhausted.
+// count, and an entry is MaxInt64 exactly when its core is exhausted. A
+// core is exhausted when its window is used up, which refill allows only
+// once the core has no decoder left.
 func (m *Machine) checkStep() error {
-	if m.violation != nil {
-		return m.violation
+	if m.err != nil {
+		return m.err
 	}
 	for i, c := range m.cores {
 		exhausted := c.pos >= len(c.trace)
+		if exhausted && c.dec != nil {
+			return fmt.Errorf("multicore: core %d used up its window without a refill", i)
+		}
 		if exhausted != (m.clock[i] == math.MaxInt64) {
 			return fmt.Errorf("multicore: core %d clock entry %d disagrees with exhausted=%v", i, m.clock[i], exhausted)
 		}

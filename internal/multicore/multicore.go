@@ -20,11 +20,18 @@
 // loop behind Run and RunContext) both call the two. Runs are therefore
 // reproducible bit-for-bit at any host parallelism; the experiment
 // runner's -jobs knob only fans out across independent machines.
+//
+// Each core reads its trace through a window. An in-memory trace
+// (Config.Traces) is one window, used in place. A streamed trace
+// (Config.Decoders) is decoded window by window into a per-core buffer of
+// memsys.DefaultCheckEvery records, so a long binary trace never
+// materializes: refill runs once per window, when advance uses up the last
+// record, and a decode error stops the run after the records before it.
 package multicore
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
@@ -69,9 +76,15 @@ type Config struct {
 	// L2HitCycles is charged on every L2 probe; an L2 miss pays the
 	// timing's MissPenalty on top, like memsys.EnableL2.
 	L2HitCycles int
-	// Traces holds one reference stream per core; len(Traces) is the core
-	// count.
+	// Traces holds one in-memory reference stream per core; len(Traces) is
+	// the core count. Each trace is the core's only window and is read in
+	// place, never copied.
 	Traces []memtrace.Trace
+	// Decoders, instead of Traces, streams one binary trace per core;
+	// len(Decoders) is then the core count. New decodes each core's first
+	// window, so a bad header fails there; a later decode error stops the
+	// run (see TraceError). Set Traces or Decoders, not both.
+	Decoders []*memtrace.Decoder
 	// Checks enables per-step coherence invariant verification: SWMR,
 	// stale-sharer detection, state/dirty consistency and the writeback
 	// ledger. It walks every L1 line each step, so it is for tests and
@@ -80,15 +93,19 @@ type Config struct {
 }
 
 // core is one simulated CPU: private L1 + tint table + page table + TLB,
-// replaying its own trace.
+// replaying its own trace through a window. A live core always has a
+// record at pos (refill keeps it so), which makes pos >= len(trace) the
+// exhausted test.
 type core struct {
 	id    int
 	l1    *cache.Cache
 	tints *tint.Table
 	pt    *vm.PageTable
 	tlb   *vm.TLB
-	trace memtrace.Trace
-	pos   int
+	trace memtrace.Trace    // the current window
+	pos   int               // next record in trace
+	base  int64             // records consumed before this window
+	dec   *memtrace.Decoder // refills trace; nil for an in-memory trace and at end of stream
 
 	l2tint tint.Tint // this core's tint in the shared L2's table
 
@@ -103,14 +120,18 @@ type core struct {
 	upgrades          int64
 }
 
-// clock is the core's entry in the machine's arbitration array: its cycle
-// count while it has accesses left, MaxInt64 once its trace is exhausted.
-func (c *core) clock() int64 {
-	if c.pos >= len(c.trace) {
-		return math.MaxInt64
-	}
-	return c.cycles
+// TraceError reports a core whose streamed trace failed to decode. New
+// returns it when a core's first window fails with no record before the
+// fault (a bad magic number, say); Run, RunContext and Step return it
+// after the core's records before the fault have run.
+type TraceError struct {
+	Core int
+	Err  error
 }
+
+func (e *TraceError) Error() string { return fmt.Sprintf("multicore: core %d: %v", e.Core, e.Err) }
+
+func (e *TraceError) Unwrap() error { return e.Err }
 
 // CoreStats snapshots one core's counters.
 type CoreStats struct {
@@ -200,8 +221,10 @@ type Machine struct {
 	dirtyRetired int64
 	bus          BusStats
 
-	check     *checker
-	violation error
+	check *checker
+	// err stopped the machine: a failed invariant check or a core's trace
+	// decode error. It is sticky.
+	err error
 
 	// Deterministic L2 repartition schedule: events fire inside l2Demand at
 	// exact shared-L2 access counts.
@@ -249,7 +272,11 @@ func (m *Machine) SetRemapSchedule(evs []RemapEvent) error {
 
 // New builds a Machine from cfg.
 func New(cfg Config) (*Machine, error) {
-	if len(cfg.Traces) == 0 {
+	if len(cfg.Traces) > 0 && len(cfg.Decoders) > 0 {
+		return nil, errors.New("multicore: set Traces or Decoders, not both")
+	}
+	n := max(len(cfg.Traces), len(cfg.Decoders))
+	if n == 0 {
 		return nil, fmt.Errorf("multicore: no core traces")
 	}
 	if cfg.Geometry.LineBytes != cfg.L1.LineBytes {
@@ -278,7 +305,7 @@ func New(cfg Config) (*Machine, error) {
 		l2tints: tint.NewTable(cfg.L2.NumWays),
 		l2Hit:   cfg.L2HitCycles,
 	}
-	for i, tr := range cfg.Traces {
+	for i := range n {
 		l1, err := cache.New(cfg.L1)
 		if err != nil {
 			return nil, fmt.Errorf("multicore: core %d L1: %w", i, err)
@@ -294,11 +321,22 @@ func New(cfg Config) (*Machine, error) {
 			tints:  tint.NewTable(cfg.L1.NumWays),
 			pt:     pt,
 			tlb:    tlb,
-			trace:  tr,
 			l2tint: m.l2tints.NewTint(fmt.Sprintf("core%d", i)),
 		}
+		if len(cfg.Decoders) > 0 {
+			if cfg.Decoders[i] == nil {
+				return nil, fmt.Errorf("multicore: core %d: nil decoder", i)
+			}
+			c.trace = make(memtrace.Trace, 0, memsys.DefaultCheckEvery)
+			c.dec = cfg.Decoders[i]
+		} else {
+			c.trace = cfg.Traces[i]
+		}
 		m.cores = append(m.cores, c)
-		m.clock = append(m.clock, c.clock())
+		m.clock = append(m.clock, 0)
+		if m.refill(i); m.err != nil {
+			return nil, m.err
+		}
 	}
 	if cfg.Checks {
 		m.check = newChecker(len(m.cores))
@@ -370,7 +408,7 @@ func (m *Machine) AccessesDone() int64 { return m.accessesDone() }
 func (m *Machine) accessesDone() int64 {
 	var n int64
 	for _, c := range m.cores {
-		n += int64(c.pos)
+		n += c.base + int64(c.pos)
 	}
 	return n
 }
@@ -386,7 +424,7 @@ func (m *Machine) CoreStatsAt(i int) CoreStats {
 	return CoreStats{
 		Instructions:      c.instructions,
 		Cycles:            c.cycles,
-		MemAccesses:       int64(c.pos), // one access per executed trace entry
+		MemAccesses:       c.base + int64(c.pos), // one access per executed trace entry
 		UncachedAccesses:  c.uncachedAcc,
 		L1:                c.l1.Stats(),
 		TLB:               c.tlb.Stats(),
@@ -408,7 +446,8 @@ func (m *Machine) SetInspector(every int64, fn func(done int64)) {
 	m.inspectFn = fn
 }
 
-// Done reports whether every core has exhausted its trace.
+// Done reports whether the machine has nothing left to run: every core has
+// exhausted its trace, or a decode error stopped the run.
 func (m *Machine) Done() bool { return m.pick() < 0 }
 
 // Stats snapshots every counter; the copy shares nothing with the machine.

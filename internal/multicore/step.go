@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"context"
+	"io"
 	"math"
 
 	"colcache/internal/cache"
@@ -11,11 +12,13 @@ import (
 
 // Step advances the machine by one trace access on the core pick chooses.
 //
-// It returns false when every trace is exhausted, and a non-nil error only
-// when Config.Checks is on and a coherence invariant was violated.
+// It returns false when every trace is exhausted, and a non-nil error when
+// Config.Checks is on and a coherence invariant was violated, or when a
+// core's streamed trace failed to decode (a *TraceError). Either error
+// stops the machine and is returned again by every later call.
 func (m *Machine) Step() (bool, error) {
-	if m.violation != nil {
-		return false, m.violation
+	if m.err != nil {
+		return false, m.err
 	}
 	i := m.pick()
 	if i < 0 {
@@ -23,9 +26,9 @@ func (m *Machine) Step() (bool, error) {
 	}
 	m.advance(i)
 	if m.check != nil {
-		m.violation = m.checkStep()
+		m.err = m.checkStep()
 	}
-	return true, m.violation
+	return true, m.err
 }
 
 // pick is the machine's one definition of arbitration: the core whose local
@@ -50,35 +53,77 @@ func (m *Machine) pick() int {
 // advance executes core i's next trace access and refreshes its clock
 // entry. Within one access only the stepping core's cycles move (the bus
 // helpers charge the requestor), so one refresh keeps the mirror exact.
+// The access that uses up the core's window calls refill.
 func (m *Machine) advance(i int) {
 	c := m.cores[i]
 	a := c.trace[c.pos]
 	c.instructions += int64(a.Think) + 1
 	c.cycles += m.access(c, a)
 	c.pos++
-	m.clock[i] = c.clock()
+	m.clock[i] = c.cycles
+	if c.pos == len(c.trace) {
+		m.refill(i)
+	}
 }
 
-// Run steps the machine until every trace is exhausted (or a check fails).
-// It is RunContext without the events: one batch to the end of the traces.
+// refill gives core i its next window once the current one is used up (New
+// calls it for the first) and sets the core's clock entry. It runs once per
+// window, so it stays out of advance. A decoder refills the window in
+// place, reusing its buffer. A used-up core with no decoder, or whose
+// decoder ends the stream, is exhausted: its entry becomes MaxInt64. A decode error stops the machine instead: every entry
+// becomes MaxInt64, so pick finds nothing to run and the loops return
+// m.err. The decoder's error is sticky, so a window decoded short by a
+// fault runs first and the fault surfaces on the next refill.
+func (m *Machine) refill(i int) {
+	c := m.cores[i]
+	if c.dec != nil {
+		c.base += int64(len(c.trace))
+		c.pos = 0
+		n, err := c.dec.DecodeBatch(c.trace[:cap(c.trace)])
+		c.trace = c.trace[:n]
+		if n == 0 {
+			c.dec = nil
+			if err != io.EOF {
+				m.err = &TraceError{Core: i, Err: err}
+				for j := range m.clock {
+					m.clock[j] = math.MaxInt64
+				}
+				return
+			}
+		}
+	}
+	if c.pos < len(c.trace) {
+		m.clock[i] = c.cycles
+	} else {
+		m.clock[i] = math.MaxInt64
+	}
+}
+
+// Run steps the machine until every trace is exhausted (or a check fails,
+// or a streamed trace fails to decode). It is RunContext without the
+// events: one batch to the end of the traces.
 func (m *Machine) Run() error {
-	if m.check == nil && m.violation == nil && len(m.cores) == 1 {
+	if m.check == nil && m.err == nil && len(m.cores) == 1 {
 		// Single core: no arbitration, so the instruction and cycle
 		// totals can ride in locals (registers) across the whole trace
 		// and land on the core once. access still charges rare-path
 		// cycles (writeback races, L2 demand) to c.cycles directly;
 		// the two pools are disjoint, so the final flush is exact.
+		// refill leaves core 0's clock entry stale until the loop ends,
+		// when it is MaxInt64.
 		c := m.cores[0]
 		var ins, cyc int64
-		for _, a := range c.trace[c.pos:] {
-			ins += int64(a.Think) + 1
-			cyc += m.access(c, a)
+		for c.pos < len(c.trace) {
+			for _, a := range c.trace[c.pos:] {
+				ins += int64(a.Think) + 1
+				cyc += m.access(c, a)
+			}
+			c.pos = len(c.trace)
+			m.refill(0)
 		}
 		c.instructions += ins
 		c.cycles += cyc
-		c.pos = len(c.trace)
-		m.clock[0] = math.MaxInt64
-		return nil
+		return m.err
 	}
 	_, err := m.batch(math.MaxInt64)
 	return err
@@ -150,12 +195,13 @@ func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint f
 }
 
 // batch executes at most limit accesses and returns how many ran (short
-// only when every trace is exhausted, or when a check failed, which it
-// returns). With checks on it steps through Step, which verifies the
-// coherence invariants after every access.
+// only when every trace is exhausted, or when a check or a decode failed,
+// which it returns). With checks on it steps through Step, which verifies
+// the coherence invariants after every access.
 func (m *Machine) batch(limit int64) (int64, error) {
-	if m.check == nil && m.violation == nil {
-		return m.runBatch(limit), nil
+	if m.check == nil && m.err == nil {
+		ran := m.runBatch(limit)
+		return ran, m.err
 	}
 	var ran int64
 	for ; ran < limit; ran++ {
@@ -168,14 +214,14 @@ func (m *Machine) batch(limit int64) (int64, error) {
 }
 
 // runBatch executes at most limit accesses of the checks-off loop — pick
-// and advance without Step's violation bookkeeping — and returns how many
-// ran (short only when every trace is exhausted). It must stay a small
-// dedicated function. Every register is caller-saved across the advance
-// call, so whatever the loop keeps live is reloaded on every access: here
-// that is m, limit and ran, and pick's scan runs entirely in registers.
-// Inlined into RunContext's event bookkeeping, the same loop reloads about
-// a dozen values per access and keeps the scan's running minimum on the
-// stack.
+// and advance without Step's error bookkeeping — and returns how many ran
+// (short only when every trace is exhausted or a decode error stopped the
+// machine). It must stay a small dedicated function. Every register is
+// caller-saved across the advance call, so whatever the loop keeps live is
+// reloaded on every access: here that is m, limit and ran, and pick's scan
+// runs entirely in registers. Inlined into RunContext's event bookkeeping,
+// the same loop reloads about a dozen values per access and keeps the
+// scan's running minimum on the stack.
 func (m *Machine) runBatch(limit int64) int64 {
 	var ran int64
 	for ran < limit {
