@@ -22,10 +22,12 @@
 #   paper-json           - paperbench -quick -json at -jobs 1 and -jobs 8:
 #                          byte-identical documents, shapeChecksPassed true
 #   colsim-golden        - colsim's round-robin scheduler (quanta 1 and 64,
-#                          with and without -jobmask), -stream replay and the
+#                          with and without -jobmask), -stream replay, the
 #                          -cores N stepper (with -l2cols, replicated, and
-#                          -inspect-every frames) over tracegen traces,
-#                          byte-compared with
+#                          -inspect-every frames) and the single-core builder
+#                          paths (text and in-memory traces, -synth, -map,
+#                          -describe, -adaptive, -reuse, -inspect-every)
+#                          over tracegen traces, byte-compared with
 #                          cmd/colsim/testdata/colsim.golden; then a
 #                          streamed -cores 3 run over a trace cut
 #                          mid-record must fail and name the file
@@ -117,9 +119,13 @@ paper-json:
 # per-core L2 columns, the gzip traces on 3 cores, idct replicated on 4
 # cores (every arbitration pick ties), and the last frames plus summary of
 # an inspected 4-core run. The -cores runs over one file per core stream
-# the files through the stepper's decode windows. Last, -cores 3 over two
-# gzip traces and a copy of the third cut mid-record must exit non-zero,
-# name the cut file on stderr and print no statistics.
+# the files through the stepper's decode windows. The machine builder's
+# other paths follow: one in-memory -binary trace, a text trace with
+# -reuse, -synth stream, -map regions with -describe, -adaptive over -map
+# regions, the last frames of a single-core -inspect-every dump, and
+# -cores 2 over tracegen's two text shards of idct. Last, -cores 3 over
+# two gzip traces and a copy of the third cut mid-record must exit
+# non-zero, name the cut file on stderr and print no statistics.
 # The traces come from tracegen, so nothing but the golden is committed.
 # A change that moves a number on purpose regenerates the golden in the
 # same commit (cp /tmp/colsim-golden.txt cmd/colsim/testdata/colsim.golden).
@@ -128,6 +134,8 @@ colsim-golden:
 	$(GO) build -o /tmp/tracegen-golden ./cmd/tracegen
 	for s in 1 2 3; do /tmp/tracegen-golden -workload gzip -seed $$s -binary -o /tmp/colsim-gzip$$s.bin 2>/dev/null; done
 	/tmp/tracegen-golden -workload idct -binary -o /tmp/colsim-idct.bin 2>/dev/null
+	/tmp/tracegen-golden -workload idct -o /tmp/colsim-idct.txt 2>/dev/null
+	/tmp/tracegen-golden -workload idct -shards 2 -o /tmp/colsim-idct-shard.txt 2>/dev/null
 	set -e; \
 	gzip="/tmp/colsim-gzip1.bin /tmp/colsim-gzip2.bin /tmp/colsim-gzip3.bin"; \
 	traces="$$gzip /tmp/colsim-idct.bin"; \
@@ -147,6 +155,14 @@ colsim-golden:
 		echo "== -cores 4 idct"; /tmp/colsim-golden -binary -cores 4 /tmp/colsim-idct.bin; \
 		/tmp/colsim-golden -binary -cores 4 -inspect-every 5000 -inspect-out - $$traces > /tmp/colsim-golden-frames.txt; \
 		echo "== -cores 4 -inspect-every 5000 (last frames)"; tail -n 12 /tmp/colsim-golden-frames.txt; \
+		echo "== -binary idct"; /tmp/colsim-golden -binary /tmp/colsim-idct.bin; \
+		echo "== text idct -reuse"; /tmp/colsim-golden -reuse /tmp/colsim-idct.txt; \
+		echo "== -synth stream"; /tmp/colsim-golden -synth stream -n 2000; \
+		echo "== -map -describe idct"; /tmp/colsim-golden -binary -map 40000:200:0 -map 40200:c00:1,2 -describe /tmp/colsim-idct.bin; \
+		echo "== -adaptive -map gzip1"; /tmp/colsim-golden -binary -adaptive -epoch 32768 -map e000:c000:0 -map 0:4000:1 -describe /tmp/colsim-gzip1.bin; \
+		/tmp/colsim-golden -binary -inspect-every 5000 -inspect-out - /tmp/colsim-idct.bin > /tmp/colsim-golden-frames.txt; \
+		echo "== -inspect-every 5000 idct (last frames)"; tail -n 9 /tmp/colsim-golden-frames.txt; \
+		echo "== -cores 2 text idct shards"; /tmp/colsim-golden -cores 2 /tmp/colsim-idct-shard.0.txt /tmp/colsim-idct-shard.1.txt; \
 	} > /tmp/colsim-golden.txt
 	cmp cmd/colsim/testdata/colsim.golden /tmp/colsim-golden.txt
 	size=$$(wc -c < /tmp/colsim-gzip3.bin); head -c $$((size - 5)) /tmp/colsim-gzip3.bin > /tmp/colsim-cut.bin

@@ -26,7 +26,11 @@
 // to every core in disjoint 4GB address windows. N -binary trace files are
 // streamed, one per core, instead of being loaded first. -l2cols
 // core:col[,col...] restricts a core's L2 replacement to the given columns
-// (repeatable).
+// (repeatable). The single-core flags -map, -plan, -adaptive, -describe,
+// -reuse and -jobmask are rejected with -cores.
+//
+// The flags translate to the colcache machine specs, and internal/build
+// turns those into the machine, as it does for colserved's specs.
 //
 // Example: isolate a stream at 0x1000 (4KB) in column 0 of a 16KB cache:
 //
@@ -44,7 +48,8 @@ import (
 	"strconv"
 	"strings"
 
-	"colcache/internal/cache"
+	colcache "colcache"
+	"colcache/internal/build"
 	"colcache/internal/controller"
 	"colcache/internal/inspect"
 	"colcache/internal/layout"
@@ -57,14 +62,9 @@ import (
 	"colcache/internal/workloads/synth"
 )
 
+// mapFlag parses repeated -map flags into region specs named map@<base>.
 type mapFlag struct {
-	entries []mapEntry
-}
-
-type mapEntry struct {
-	base    uint64
-	size    uint64
-	columns []int
+	entries []colcache.MapSpec
 }
 
 func (m *mapFlag) String() string { return fmt.Sprintf("%d mappings", len(m.entries)) }
@@ -90,18 +90,21 @@ func (m *mapFlag) Set(v string) error {
 		}
 		cols = append(cols, n)
 	}
-	m.entries = append(m.entries, mapEntry{base: base, size: size, columns: cols})
+	m.entries = append(m.entries, colcache.MapSpec{Name: fmt.Sprintf("map@%x", base), Base: base, Size: size, Columns: cols})
 	return nil
 }
 
 func main() {
+	dm := build.WithDefaults(colcache.MachineSpec{})
+	dmc := build.MulticoreWithDefaults(colcache.MulticoreSpec{})
+	da := build.AdaptiveWithDefaults(colcache.AdaptiveSpec{})
 	var (
-		lineBytes = flag.Int("line", 32, "cache line bytes (power of two)")
-		sets      = flag.Int("sets", 16, "cache sets (power of two)")
-		ways      = flag.Int("ways", 4, "cache ways = columns")
-		pageBytes = flag.Int("page", 4096, "page bytes (mapping granularity)")
-		policy    = flag.String("policy", "lru", "replacement policy: lru, plru, fifo, random")
-		penalty   = flag.Int("penalty", 20, "miss penalty cycles")
+		lineBytes = flag.Int("line", dm.LineBytes, "cache line bytes (power of two)")
+		sets      = flag.Int("sets", dm.Sets, "cache sets (power of two)")
+		ways      = flag.Int("ways", dm.Ways, "cache ways = columns")
+		pageBytes = flag.Int("page", dm.PageBytes, "page bytes (mapping granularity)")
+		policy    = flag.String("policy", dm.Policy, "replacement policy: lru, plru, fifo, random")
+		penalty   = flag.Int("penalty", dm.MissPenalty, "miss penalty cycles")
 		binary    = flag.Bool("binary", false, "trace file is in binary format")
 		stream    = flag.Bool("stream", false, "stream a single -binary trace file through the cache in fixed-size chunks instead of loading it into memory first")
 		synthKind = flag.String("synth", "", "generate a synthetic workload instead of reading a file: stream, random, chase")
@@ -111,14 +114,14 @@ func main() {
 		reuse     = flag.Bool("reuse", false, "print the trace's reuse-distance histogram and LRU hit-rate estimates")
 		planPath  = flag.String("plan", "", "apply a saved layout plan (from layouttool -o) before the run")
 		adaptive  = flag.Bool("adaptive", false, "let the online controller redistribute columns across tints at epoch boundaries")
-		epoch     = flag.Int64("epoch", 4096, "adaptive decision interval in cache accesses")
-		minGain   = flag.Int64("mingain", 16, "adaptive hysteresis: predicted sampled-hit gain required to remap")
+		epoch     = flag.Int64("epoch", da.EpochAccesses, "adaptive decision interval in cache accesses")
+		minGain   = flag.Int64("mingain", da.MinGainHits, "adaptive hysteresis: predicted sampled-hit gain required to remap")
 		inspEvery = flag.Int("inspect-every", 0, "dump an occupancy frame every N accesses (needs -inspect-out)")
 		inspOut   = flag.String("inspect-out", "", "occupancy frame JSONL destination (- for stdout)")
 		cores     = flag.Int("cores", 0, "multicore mode: cores with private L1s over a shared snooped L2 (0 = single-core)")
-		l2sets    = flag.Int("l2sets", 64, "multicore mode: shared L2 sets (power of two)")
-		l2ways    = flag.Int("l2ways", 8, "multicore mode: shared L2 ways = columns")
-		l2hit     = flag.Int("l2hit", 6, "multicore mode: L2 hit cycles")
+		l2sets    = flag.Int("l2sets", dmc.L2Sets, "multicore mode: shared L2 sets (power of two)")
+		l2ways    = flag.Int("l2ways", dmc.L2Ways, "multicore mode: shared L2 ways = columns")
+		l2hit     = flag.Int("l2hit", dmc.L2HitCycles, "multicore mode: L2 hit cycles")
 	)
 	var maps mapFlag
 	flag.Var(&maps, "map", "map hex-base:hex-size:col[,col...] to columns (repeatable)")
@@ -127,6 +130,15 @@ func main() {
 	var l2cols jobMaskFlag
 	flag.Var(&l2cols, "l2cols", "multicore mode: restrict a core's L2 columns, core:col[,col...] (repeatable)")
 	flag.Parse()
+	m := colcache.MachineSpec{LineBytes: *lineBytes, Sets: *sets, Ways: *ways,
+		PageBytes: *pageBytes, Policy: *policy, MissPenalty: *penalty}
+
+	if *cores > 0 {
+		if name := singleCoreFlagSet(); name != "" {
+			fmt.Fprintf(os.Stderr, "colsim: -%s does not apply to -cores\n", name)
+			os.Exit(1)
+		}
+	}
 
 	var (
 		traces []memtrace.Trace
@@ -165,69 +177,24 @@ func main() {
 		if streamCores {
 			paths = flag.Args()
 		}
-		if err := runMulticore(traces, paths, *cores, *lineBytes, *sets, *ways, *pageBytes,
-			*policy, *penalty, *l2sets, *l2ways, *l2hit, l2cols,
-			*inspEvery, *inspOut); err != nil {
+		mc := colcache.MulticoreSpec{L2Sets: *l2sets, L2Ways: *l2ways, L2HitCycles: *l2hit}
+		if err := runMulticore(traces, paths, *cores, m, mc, l2cols, *inspEvery, *inspOut); err != nil {
 			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	timing := memsys.DefaultTiming
-	timing.MissPenalty = *penalty
-	g, err := memory.NewGeometry(*lineBytes, *pageBytes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
-		os.Exit(1)
-	}
-	sys, err := memsys.New(memsys.Config{
-		Geometry: g,
-		Cache: cache.Config{
-			LineBytes: *lineBytes,
-			NumSets:   *sets,
-			NumWays:   *ways,
-			Policy:    replacement.Kind(*policy),
-		},
-		Timing: timing,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
-		os.Exit(1)
-	}
-	for _, e := range maps.entries {
-		r := memory.Region{Name: fmt.Sprintf("map@%x", e.base), Base: e.base, Size: e.size}
-		if _, err := sys.MapRegion(r, replacement.Of(e.columns...)); err != nil {
-			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *planPath != "" {
-		f, err := os.Open(*planPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
-			os.Exit(1)
-		}
-		plan, err := layout.LoadPlan(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
-			os.Exit(1)
-		}
-		if _, err := layout.Apply(plan, sys, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "colsim: applying plan: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	var ctl *controller.Controller
+	var adapt *colcache.AdaptiveSpec
 	if *adaptive {
-		ctl, err = attachAdaptive(sys, *sets, *lineBytes, *ways, *epoch, *minGain)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
-			os.Exit(1)
-		}
+		adapt = &colcache.AdaptiveSpec{EpochAccesses: *epoch, MinGainHits: *minGain}
 	}
+	sys, ctl, err := singleCoreSystem(m, maps.entries, *planPath, adapt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "colsim: %v\n", err)
+		os.Exit(1)
+	}
+	g := sys.Geometry()
 
 	fmt.Printf("cache:        %d sets × %d ways × %dB = %dB, policy %s\n",
 		*sets, *ways, *lineBytes, *sets**ways**lineBytes, *policy)
@@ -327,13 +294,62 @@ func main() {
 	}
 }
 
+// singleCoreSystem builds the machine the single-core flags describe: m
+// with the -map regions, then the -plan layout when planPath is set, then
+// the adaptive controller over every tint when adapt is non-nil.
+func singleCoreSystem(m colcache.MachineSpec, maps []colcache.MapSpec, planPath string,
+	adapt *colcache.AdaptiveSpec) (*memsys.System, *controller.Controller, error) {
+	sys, err := build.System(m, maps)
+	if err != nil {
+		return nil, nil, err
+	}
+	if planPath != "" {
+		f, err := os.Open(planPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		plan, err := layout.LoadPlan(f)
+		f.Close()
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := layout.Apply(plan, sys, 0); err != nil {
+			return nil, nil, fmt.Errorf("applying plan: %w", err)
+		}
+	}
+	if adapt == nil {
+		return sys, nil, nil
+	}
+	ctl, err := build.Adaptive(sys, m, *adapt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, ctl, nil
+}
+
+// singleCoreFlagSet names a flag set on the command line that only a
+// single-core run reads (the first in flag.Visit's sorted order), or
+// returns "".
+func singleCoreFlagSet() string {
+	var name string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "map", "plan", "adaptive", "describe", "reuse", "jobmask":
+			if name == "" {
+				name = f.Name
+			}
+		}
+	})
+	return name
+}
+
 // runMulticore executes the -cores path: one trace per core through private
-// L1 column caches kept coherent over a shared column-partitioned L2. The
-// traces are in memory, or, when paths is non-nil, each path is a binary
-// trace file streamed to its core; the files close after the run.
-func runMulticore(traces []memtrace.Trace, paths []string, cores, lineBytes, sets, ways, pageBytes int,
-	policy string, penalty, l2sets, l2ways, l2hit int, l2cols jobMaskFlag,
-	inspEvery int, inspOut string) error {
+// L1 column caches of m's shape kept coherent over a shared L2 of mc's
+// shape, partitioned by l2cols. The traces are in memory, or, when paths
+// is non-nil, each path is a binary trace file streamed to its core; the
+// files close after the run.
+func runMulticore(traces []memtrace.Trace, paths []string, cores int, m colcache.MachineSpec,
+	mc colcache.MulticoreSpec, l2cols jobMaskFlag, inspEvery int, inspOut string) error {
 	var decoders []*memtrace.Decoder
 	for _, path := range paths {
 		f, err := os.Open(path)
@@ -351,61 +367,32 @@ func runMulticore(traces []memtrace.Trace, paths []string, cores, lineBytes, set
 		}
 		return err
 	}
-	replicated := false
+	// User traces may alias, so they keep their addresses; a single trace
+	// replicated to every core runs in disjoint per-core windows, where
+	// each shared-L2 line is attributable to the core that owns it.
+	mc.SharedAddresses = true
 	switch {
 	case decoders != nil: // one streamed file per core, as main checked
 	case len(traces) == 1 && cores > 1:
-		replicated = true
-		// Replicate the single trace into disjoint per-core address windows.
-		base := traces[0]
-		traces = make([]memtrace.Trace, cores)
-		for i := range traces {
-			tr := make(memtrace.Trace, len(base))
-			shift := uint64(i) << 32
-			for k, a := range base {
-				a.Addr += shift
-				tr[k] = a
-			}
-			traces[i] = tr
+		mc.SharedAddresses = false
+		replicas := make([]memtrace.Trace, cores)
+		for i := range replicas {
+			replicas[i] = traces[0]
 		}
+		traces = replicas
 	case len(traces) != cores:
 		return fmt.Errorf("multicore: %d cores but %d traces", cores, len(traces))
 	}
-	g, err := memory.NewGeometry(lineBytes, pageBytes)
-	if err != nil {
-		return err
+	mc.Cores = make([]colcache.CoreSpec, cores)
+	for i, mask := range l2cols.masks {
+		if i >= cores {
+			return fmt.Errorf("-l2cols core %d out of range (%d cores)", i, cores)
+		}
+		mc.Cores[i].Columns = mask.Ways(64)
 	}
-	timing := memsys.DefaultTiming
-	timing.MissPenalty = penalty
-	m, err := multicore.New(multicore.Config{
-		Geometry: g,
-		L1: cache.Config{
-			LineBytes: lineBytes,
-			NumSets:   sets,
-			NumWays:   ways,
-			Policy:    replacement.Kind(policy),
-		},
-		L2: cache.Config{
-			LineBytes: lineBytes,
-			NumSets:   l2sets,
-			NumWays:   l2ways,
-			Policy:    replacement.Kind(policy),
-		},
-		Timing:      timing,
-		L2HitCycles: l2hit,
-		Traces:      traces,
-		Decoders:    decoders,
-	})
+	mach, err := build.Multicore(m, mc, traces, decoders)
 	if err != nil {
 		return nameFile(err)
-	}
-	for i, mask := range l2cols.masks {
-		if i >= m.NumCores() {
-			return fmt.Errorf("-l2cols core %d out of range (%d cores)", i, m.NumCores())
-		}
-		if err := m.SetL2Mask(i, mask); err != nil {
-			return err
-		}
 	}
 	var closeOut func() error
 	var encErr error
@@ -415,18 +402,15 @@ func runMulticore(traces []memtrace.Trace, paths []string, cores, lineBytes, set
 			return err
 		}
 		closeOut = c
-		// Replicated single-trace runs put each core in a disjoint 4GB
-		// window, so shared-L2 lines are attributable to their owning core;
-		// user traces may alias, so their L2 occupancy stays untagged.
 		var owner func(memory.Addr) int
-		if replicated {
-			owner = inspect.WindowOwner(m.NumCores(), 32)
+		if !mc.SharedAddresses {
+			owner = inspect.WindowOwner(cores)
 		}
-		red := inspect.NewMachineReducer(m, owner)
+		red := inspect.NewMachineReducer(mach, owner)
 		enc := json.NewEncoder(out)
 		var frame inspect.Frame
-		m.SetInspector(int64(inspEvery), func(done int64) {
-			red.Reduce(&frame, done, m.Done())
+		mach.SetInspector(int64(inspEvery), func(done int64) {
+			red.Reduce(&frame, done, mach.Done())
 			if err := enc.Encode(&frame); err != nil && encErr == nil {
 				encErr = err
 			}
@@ -434,9 +418,9 @@ func runMulticore(traces []memtrace.Trace, paths []string, cores, lineBytes, set
 	}
 	if inspEvery > 0 {
 		// Only RunContext fires the inspector.
-		err = m.RunContext(context.Background(), 0, nil)
+		err = mach.RunContext(context.Background(), 0, nil)
 	} else {
-		err = m.Run()
+		err = mach.Run()
 	}
 	if err != nil {
 		return nameFile(err)
@@ -449,14 +433,14 @@ func runMulticore(traces []memtrace.Trace, paths []string, cores, lineBytes, set
 			return fmt.Errorf("inspect dump: %w", encErr)
 		}
 	}
-	st := m.Stats()
+	st := mach.Stats()
 	fmt.Printf("machine:      %d cores, L1 %d×%d×%dB private, L2 %d×%d×%dB shared\n",
-		m.NumCores(), sets, ways, lineBytes, l2sets, l2ways, lineBytes)
+		mach.NumCores(), m.Sets, m.Ways, m.LineBytes, mc.L2Sets, mc.L2Ways, m.LineBytes)
 	for i, cs := range st.Cores {
 		fmt.Printf("core%d:        instrs=%d cycles=%d CPI=%.3f l1{%s} l2acc=%d l2miss=%d inv=%d int=%d upg=%d mask=%s\n",
 			i, cs.Instructions, cs.Cycles, cs.CPI(), cs.L1,
 			cs.L2Accesses, cs.L2Misses, cs.InvalidationsRecv, cs.Interventions, cs.Upgrades,
-			m.L2Mask(i))
+			mach.L2Mask(i))
 	}
 	fmt.Printf("bus:          rd=%d rdx=%d upgr=%d inv=%d int=%d races=%d\n",
 		st.Bus.Reads, st.Bus.ReadXs, st.Bus.Upgrades,
@@ -485,27 +469,6 @@ func openInspectOut(path string) (*bufio.Writer, func() error, error) {
 		}
 		return f.Close()
 	}, nil
-}
-
-// attachAdaptive puts every tint in the table — the default tint included,
-// so unmapped pages keep a share — under the online controller's management
-// and hooks the controller to the machine.
-func attachAdaptive(sys *memsys.System, sets, lineBytes, ways int, epoch, minGain int64) (*controller.Controller, error) {
-	tints := sys.Tints().Tints()
-	if len(tints) > ways {
-		return nil, fmt.Errorf("adaptive: %d tints but only %d columns", len(tints), ways)
-	}
-	specs := make([]controller.Spec, len(tints))
-	for i, id := range tints {
-		specs[i] = controller.Spec{ID: id, Min: 1, Max: ways}
-	}
-	ctl, err := controller.New(sys.Tints(), sets, lineBytes, specs,
-		controller.Config{EpochAccesses: epoch, MinGainHits: minGain})
-	if err != nil {
-		return nil, err
-	}
-	sys.SetAccessObserver(ctl)
-	return ctl, nil
 }
 
 // printDecisions renders the controller's epoch log and remap economy.

@@ -7,14 +7,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"colcache/internal/cache"
-	"colcache/internal/memory"
-	"colcache/internal/memsys"
+	colcache "colcache"
+	"colcache/internal/build"
 	"colcache/internal/memtrace"
-	"colcache/internal/replacement"
+	"colcache/internal/service"
 )
 
 // TestMain runs colsim's main instead of the tests when the test binary
@@ -78,11 +78,11 @@ func TestMapFlagParsing(t *testing.T) {
 		t.Fatalf("entries=%d", len(m.entries))
 	}
 	e := m.entries[0]
-	if e.base != 0x1000 || e.size != 0x200 || len(e.columns) != 1 || e.columns[0] != 0 {
+	if e.Name != "map@1000" || e.Base != 0x1000 || e.Size != 0x200 || len(e.Columns) != 1 || e.Columns[0] != 0 {
 		t.Errorf("entry 0 = %+v", e)
 	}
 	e = m.entries[1]
-	if e.base != 0xff00 || e.size != 0x10 || len(e.columns) != 3 || e.columns[2] != 3 {
+	if e.Name != "map@ff00" || e.Base != 0xff00 || e.Size != 0x10 || len(e.Columns) != 3 || e.Columns[2] != 3 {
 		t.Errorf("entry 1 = %+v", e)
 	}
 	if m.String() == "" {
@@ -105,53 +105,114 @@ func TestMapFlagErrors(t *testing.T) {
 	}
 }
 
-func adaptiveTestSystem(t *testing.T, ways int) *memsys.System {
-	t.Helper()
-	sys, err := memsys.New(memsys.Config{
-		Geometry: memory.MustGeometry(32, 4096),
-		Cache:    cache.Config{LineBytes: 32, NumSets: 16, NumWays: ways},
-		Timing:   memsys.DefaultTiming,
-	})
+// One machine description gives one machine: colsim's flags, translated to
+// specs, and the same description as a colserved spec build machines that
+// end a run of the same trace with identical statistics, tint tables and
+// adaptive decisions.
+func TestFlagsBuildTheServiceMachine(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := writeTraceFile(t, dir, "t.bin", 7, 20000)
+	tr, err := readTraceFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
-}
-
-func TestAttachAdaptiveManagesAllTints(t *testing.T) {
-	sys := adaptiveTestSystem(t, 4)
-	if _, err := sys.MapRegion(memory.Region{Name: "r", Base: 0, Size: 4096}, replacement.Of(0)); err != nil {
+	var text strings.Builder
+	if err := memtrace.WriteText(&text, tr); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := attachAdaptive(sys, 16, 32, 4, 1024, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Default tint + mapped tint, every column owned by exactly one.
-	if got := ctl.Specs(); len(got) != 2 {
-		t.Fatalf("managed tints = %d, want 2", len(got))
-	}
-	total := 0
-	for _, a := range ctl.Allocations() {
-		total += a
-	}
-	if total != 4 {
-		t.Errorf("initial allocation covers %d of 4 columns", total)
+	for _, tc := range []struct {
+		name     string
+		flags    colcache.MachineSpec // as colsim's flags carry it, defaults explicit
+		spec     colcache.MachineSpec // as a service client sends it
+		maps     []string
+		adaptive bool
+	}{
+		{
+			name:     "defaults",
+			flags:    build.WithDefaults(colcache.MachineSpec{}),
+			maps:     []string{"0:4000:0", "8000:2000:1,2"},
+			adaptive: true,
+		},
+		{
+			name:  "explicit",
+			flags: colcache.MachineSpec{LineBytes: 64, Sets: 32, Ways: 8, PageBytes: 8192, Policy: "plru", MissPenalty: 30},
+			spec:  colcache.MachineSpec{LineBytes: 64, Sets: 32, Ways: 8, PageBytes: 8192, Policy: "plru", MissPenalty: 30},
+			maps:  []string{"4000:4000:0,1,2,3"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var maps mapFlag
+			spec := colcache.SimSpec{Machine: tc.spec, TraceText: text.String()}
+			for _, v := range tc.maps {
+				if err := maps.Set(v); err != nil {
+					t.Fatal(err)
+				}
+				e := maps.entries[len(maps.entries)-1]
+				spec.Maps = append(spec.Maps, colcache.MapSpec{Base: e.Base, Size: e.Size, Columns: e.Columns})
+			}
+			var adapt *colcache.AdaptiveSpec
+			if tc.adaptive {
+				adapt = &colcache.AdaptiveSpec{EpochAccesses: 4096, MinGainHits: 16}
+				spec.Adaptive = &colcache.AdaptiveSpec{}
+			}
+			if err := service.ValidateSim(spec, false, service.DefaultLimits); err != nil {
+				t.Fatal(err)
+			}
+			sys, ctl, err := singleCoreSystem(tc.flags, maps.entries, "", adapt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := service.BuildSim(spec, nil, service.DefaultLimits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sys.Run(tr), b.Sys.Run(b.Trace); got != want {
+				t.Errorf("cycles: colsim %d, service %d", got, want)
+			}
+			if got, want := sys.Stats(), b.Sys.Stats(); !reflect.DeepEqual(got, want) {
+				t.Errorf("stats differ:\ncolsim  %+v\nservice %+v", got, want)
+			}
+			// Region names are presentation: colsim names map@<base>, the
+			// service map<i>@<base>. The tints and their columns must agree.
+			got, want := service.TintViews(sys, tc.flags.Ways), service.TintViews(b.Sys, tc.flags.Ways)
+			if len(got) != len(want) {
+				t.Fatalf("tints: colsim %d, service %d", len(got), len(want))
+			}
+			for i := range got {
+				got[i].Name, want[i].Name = "", ""
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("tint tables differ:\ncolsim  %+v\nservice %+v", got, want)
+			}
+			if (ctl == nil) != (b.Ctl == nil) {
+				t.Fatalf("controller: colsim %v, service %v", ctl != nil, b.Ctl != nil)
+			}
+			if ctl != nil && !reflect.DeepEqual(ctl.Allocations(), b.Ctl.Allocations()) {
+				t.Errorf("allocations: colsim %v, service %v", ctl.Allocations(), b.Ctl.Allocations())
+			}
+		})
 	}
 }
 
-func TestAttachAdaptiveTooManyTints(t *testing.T) {
-	sys := adaptiveTestSystem(t, 2)
-	for i := 0; i < 2; i++ {
-		if _, err := sys.MapRegion(memory.Region{Name: "r", Base: memory.Addr(i) << 20, Size: 4096},
-			replacement.Of(i)); err != nil {
-			t.Fatal(err)
+// -cores rejects each flag only a single-core run reads, naming it,
+// instead of running without it.
+func TestMulticoreRejectsSingleCoreFlags(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := writeTraceFile(t, dir, "a.bin", 1, 1000)
+	b, _ := writeTraceFile(t, dir, "b.bin", 2, 1000)
+	for _, args := range [][]string{
+		{"-map", "0:1000:0"},
+		{"-plan", filepath.Join(dir, "plan.json")},
+		{"-adaptive"},
+		{"-describe"},
+		{"-reuse"},
+		{"-jobmask", "0:0"},
+	} {
+		argv := append([]string{"-binary", "-cores", "2"}, args...)
+		stdout, stderr, code := runColsim(t, append(argv, a, b)...)
+		if code == 0 || !strings.Contains(stderr, args[0]) || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want a failure naming %s", args, code, stdout, stderr, args[0])
 		}
-	}
-	// 3 tints (default + 2 mapped) onto 2 columns cannot keep everyone's
-	// one-column minimum.
-	if _, err := attachAdaptive(sys, 16, 32, 2, 1024, 16); err == nil {
-		t.Error("over-subscribed adaptive setup accepted")
 	}
 }
 

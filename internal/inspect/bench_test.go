@@ -68,7 +68,7 @@ func BenchmarkCapture(b *testing.B) {
 				b.StopTimer()
 				m := idctMachine(b, cores, accessesPerCore)
 				if on {
-					red := NewMachineReducer(m, WindowOwner(cores, 32))
+					red := NewMachineReducer(m, WindowOwner(cores))
 					var frame Frame
 					m.SetInspector(captureStride, func(done int64) {
 						red.Reduce(&frame, done, false)

@@ -3,6 +3,7 @@ package inspect
 import (
 	"fmt"
 
+	"colcache/internal/build"
 	"colcache/internal/cache"
 	"colcache/internal/memory"
 	"colcache/internal/memsys"
@@ -184,11 +185,11 @@ func NewMachineReducer(m *multicore.Machine, owner func(memory.Addr) int) *Machi
 }
 
 // WindowOwner returns an owner function for machines whose per-core traces
-// live in disjoint address windows of 2^windowShift bytes (the service
-// builds multicore jobs with core i's trace shifted by i<<32).
-func WindowOwner(numCores int, windowShift uint) func(memory.Addr) int {
+// live in build's disjoint per-core address windows: it undoes the
+// i<<build.WindowShift that build.Multicore applies to core i's trace.
+func WindowOwner(numCores int) func(memory.Addr) int {
 	return func(a memory.Addr) int {
-		c := int(a >> windowShift)
+		c := int(a >> build.WindowShift)
 		if c < 0 || c >= numCores {
 			return -1
 		}

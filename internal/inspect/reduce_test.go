@@ -193,7 +193,7 @@ func testMachine(t *testing.T) *multicore.Machine {
 
 func TestMachineReducerFrames(t *testing.T) {
 	m := testMachine(t)
-	red := NewMachineReducer(m, WindowOwner(m.NumCores(), 32))
+	red := NewMachineReducer(m, WindowOwner(m.NumCores()))
 	var frames []Frame
 	var f Frame
 	m.SetInspector(512, func(done int64) {
@@ -254,7 +254,7 @@ func TestMachineReducerAllocFree(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	red := NewMachineReducer(m, WindowOwner(m.NumCores(), 32))
+	red := NewMachineReducer(m, WindowOwner(m.NumCores()))
 	var f Frame
 	red.Reduce(&f, 1, false)
 	red.Reduce(&f, 2, false)

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"fmt"
+
 	"colcache/internal/cache"
 	"colcache/internal/memory"
 	"colcache/internal/memtrace"
@@ -36,39 +38,10 @@ func (s *System) EnableL2(cfg cache.Config, hitCycles int, masked bool) error {
 		return err
 	}
 	if cfg.LineBytes != s.g.LineBytes {
-		return errLineMismatch(cfg.LineBytes, s.g.LineBytes)
+		return fmt.Errorf("memsys: L2 line size %d != system line size %d", cfg.LineBytes, s.g.LineBytes)
 	}
 	s.l2 = &l2{cache: c, hit: hitCycles, masked: masked}
 	return nil
-}
-
-func errLineMismatch(l2Line, sysLine int) error {
-	return &lineMismatchError{l2Line: l2Line, sysLine: sysLine}
-}
-
-type lineMismatchError struct{ l2Line, sysLine int }
-
-func (e *lineMismatchError) Error() string {
-	return "memsys: L2 line size " + itoa(e.l2Line) + " != system line size " + itoa(e.sysLine)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b []byte
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	if neg {
-		return "-" + string(b)
-	}
-	return string(b)
 }
 
 // L2Stats returns the second-level cache's counters, or the zero value when

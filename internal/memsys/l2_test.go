@@ -30,6 +30,8 @@ func TestEnableL2Validation(t *testing.T) {
 	bad.LineBytes = 64
 	if err := s.EnableL2(bad, 10, false); err == nil {
 		t.Error("mismatched L2 line size accepted")
+	} else if want := "memsys: L2 line size 64 != system line size 32"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
 	}
 	bad = l2Config()
 	bad.NumWays = 0

@@ -54,14 +54,16 @@ func (s *System) Replay(ctx context.Context, d *memtrace.Decoder, opts ReplayOpt
 			checkpoint()
 			return done, cycles, nil
 		}
-		if err != nil {
-			return done, cycles, err
-		}
 		if opts.MaxAccesses > 0 && done+int64(n) > opts.MaxAccesses {
 			return done, cycles, fmt.Errorf("%w (limit %d)", memtrace.ErrTraceTooLarge, opts.MaxAccesses)
 		}
+		// A decode error arrives with the records before it, which run
+		// first.
 		cycles += s.Run(chunk[:n])
 		done += int64(n)
+		if err != nil {
+			return done, cycles, err
+		}
 		checkpoint()
 		if err := ctx.Err(); err != nil {
 			return done, cycles, err

@@ -135,8 +135,34 @@ func TestReplayDecodeError(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated stream replayed without error")
 	}
-	if done != 96 { // 3 full 32-record chunks; the 4th hits the truncation
-		t.Fatalf("replayed %d accesses before the error, want 96", done)
+	if done != 99 { // every record before the truncated last one
+		t.Fatalf("replayed %d accesses before the error, want 99", done)
+	}
+}
+
+// The records a chunk decoded before an invalid one run before Replay
+// returns the error: an invalid op byte at record 10 leaves the machine
+// exactly as a Run of the first 10 records does.
+func TestReplayRunsRecordsBeforeDecodeError(t *testing.T) {
+	tr := replayTrace(100)
+	data := encode(t, tr)
+	const bad = 10
+	data[len(data)-(len(tr)-bad)*13+12] = 0x7f // record 10's op byte
+	sys := replaySystem(t)
+	done, cycles, err := sys.Replay(context.Background(), memtrace.NewDecoder(bytes.NewReader(data)), ReplayOptions{})
+	if err == nil {
+		t.Fatal("invalid op byte replayed without error")
+	}
+	ref := replaySystem(t)
+	wantCycles := ref.Run(tr[:bad])
+	if done != bad || sys.Stats().MemAccesses != bad {
+		t.Fatalf("replayed %d accesses (%d in stats), want %d", done, sys.Stats().MemAccesses, bad)
+	}
+	if cycles != wantCycles {
+		t.Errorf("replay cycles %d, run of the first %d records %d", cycles, bad, wantCycles)
+	}
+	if got, want := sys.Stats(), ref.Stats(); got != want {
+		t.Errorf("replay stats %+v\nrun stats    %+v", got, want)
 	}
 }
 

@@ -108,8 +108,8 @@ func TestArbiterMatchesLinearScan(t *testing.T) {
 	})
 	for _, cores := range []int{1, 3} {
 		t.Run(fmt.Sprintf("step-after-run/cores=%d", cores), func(t *testing.T) {
-			// A 1-core Run takes the single-core fast path, which must leave
-			// core 0's clock entry exhausted too.
+			// Run must leave every clock entry exhausted, on one core as
+			// on several.
 			m := MustNew(sharedConfig(7, cores, false))
 			if err := m.Run(); err != nil {
 				t.Fatal(err)

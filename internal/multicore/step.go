@@ -103,28 +103,6 @@ func (m *Machine) refill(i int) {
 // or a streamed trace fails to decode). It is RunContext without the
 // events: one batch to the end of the traces.
 func (m *Machine) Run() error {
-	if m.check == nil && m.err == nil && len(m.cores) == 1 {
-		// Single core: no arbitration, so the instruction and cycle
-		// totals can ride in locals (registers) across the whole trace
-		// and land on the core once. access still charges rare-path
-		// cycles (writeback races, L2 demand) to c.cycles directly;
-		// the two pools are disjoint, so the final flush is exact.
-		// refill leaves core 0's clock entry stale until the loop ends,
-		// when it is MaxInt64.
-		c := m.cores[0]
-		var ins, cyc int64
-		for c.pos < len(c.trace) {
-			for _, a := range c.trace[c.pos:] {
-				ins += int64(a.Think) + 1
-				cyc += m.access(c, a)
-			}
-			c.pos = len(c.trace)
-			m.refill(0)
-		}
-		c.instructions += ins
-		c.cycles += cyc
-		return m.err
-	}
 	_, err := m.batch(math.MaxInt64)
 	return err
 }
@@ -238,9 +216,8 @@ func (m *Machine) runBatch(limit int64) int64 {
 // access executes one trace access on core c, including every bus
 // transaction it triggers, and returns the cycles to charge to c's local
 // clock. The caller applies the delta (and the instruction count, which is
-// Think+1 by definition) so the single-core replay loop can accumulate both
-// in registers; bus-side charges with no place in the delta — writeback
-// races, interventions, the L2 demand fetch — still land on the cores'
+// Think+1 by definition); bus-side charges with no place in the delta —
+// writeback races, interventions, the L2 demand fetch — land on the cores'
 // clocks directly inside the helpers, which is exact because the caller
 // adds the returned delta before the next arbitration decision. memAccesses
 // needs no counter of its own: every trace entry is one memory access, so

@@ -157,8 +157,8 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 	}
 	for _, n := range lengths {
 		t.Run(fmt.Sprintf("step-after-run/len=%d", n), func(t *testing.T) {
-			// The single-core fast path loops over windows and must leave
-			// core 0 exhausted.
+			// A 1-core Run crosses every window and must leave core 0
+			// exhausted.
 			mem, streamed := streamPair(t, []memtrace.Trace{synthTrace(int64(n), n, 0, 0x2000)}, false)
 			for _, m := range []*Machine{mem, streamed} {
 				if err := m.Run(); err != nil {

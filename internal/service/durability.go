@@ -10,6 +10,7 @@ import (
 	"time"
 
 	colcache "colcache"
+	"colcache/internal/build"
 	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
 	"colcache/internal/resultcache"
@@ -102,7 +103,7 @@ func (s *Server) appendRecord(typ byte, meta recMeta, blob []byte, commit bool) 
 // not physics — a cached result is re-labeled per request).
 func canonicalSimSpec(spec colcache.SimSpec) colcache.SimSpec {
 	spec.Label = ""
-	spec.Machine = machineWithDefaults(spec.Machine)
+	spec.Machine = build.WithDefaults(spec.Machine)
 	if spec.Workload != nil {
 		w := *spec.Workload
 		if w.Seed == 0 {

@@ -158,9 +158,9 @@ func (s *Server) wireMulticoreInspection(j *Job, b *BuiltMulticore) {
 	}
 	var owner func(memory.Addr) int
 	if !b.SharedAddresses {
-		// BuildMulticore shifts core i's trace into the i<<32 window, so
-		// shared-L2 line ownership is exact.
-		owner = inspect.WindowOwner(b.M.NumCores(), 32)
+		// Each core's trace ran in its own window, so shared-L2 line
+		// ownership is exact.
+		owner = inspect.WindowOwner(b.M.NumCores())
 	}
 	red := inspect.NewMachineReducer(b.M, owner)
 	total := b.TraceAccesses

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	colcache "colcache"
+	"colcache/internal/build"
 	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
 )
@@ -156,7 +157,7 @@ func (j *Job) Info() colcache.JobInfo {
 	// own synchronization, and the adaptive controller may be remapping it
 	// at this very moment.
 	if sys != nil && info.Progress != nil {
-		ways := machineWithDefaults(j.Spec.Machine).Ways
+		ways := build.WithDefaults(j.Spec.Machine).Ways
 		info.Progress.Tints = TintViews(sys, ways)
 	}
 	return info

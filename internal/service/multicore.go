@@ -4,36 +4,22 @@ import (
 	"fmt"
 
 	colcache "colcache"
+	"colcache/internal/build"
 	"colcache/internal/cache"
 	"colcache/internal/memory"
-	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
 	"colcache/internal/multicore"
-	"colcache/internal/replacement"
 )
 
 // MaxCores bounds a multicore spec's core count: cores multiply a job's
 // simulated work linearly.
 const MaxCores = 16
 
-func multicoreWithDefaults(mc colcache.MulticoreSpec) colcache.MulticoreSpec {
-	if mc.L2Sets == 0 {
-		mc.L2Sets = 64
-	}
-	if mc.L2Ways == 0 {
-		mc.L2Ways = 8
-	}
-	if mc.L2HitCycles == 0 {
-		mc.L2HitCycles = 6
-	}
-	return mc
-}
-
 // ValidateMulticore checks the multicore half of a simulate spec. The
 // machine spec (the per-core L1) is validated by ValidateSim as usual.
 func ValidateMulticore(spec colcache.SimSpec, lim Limits) error {
 	lim = lim.withDefaults()
-	mc := multicoreWithDefaults(*spec.Multicore)
+	mc := build.MulticoreWithDefaults(*spec.Multicore)
 	if len(spec.Maps) != 0 {
 		return fmt.Errorf("multicore: maps are not supported (use per-core columns for the shared L2)")
 	}
@@ -71,8 +57,8 @@ type BuiltMulticore struct {
 	TraceAccesses int64
 	Workloads     []string
 	// SharedAddresses records whether the cores' traces share one address
-	// space; when false each core's trace was shifted into the i<<32
-	// window and shared-L2 line ownership is derivable from the address.
+	// space; when false build.Multicore moved each core's trace into its
+	// own window and shared-L2 line ownership is derivable from the address.
 	SharedAddresses bool
 }
 
@@ -80,12 +66,8 @@ type BuiltMulticore struct {
 // multicore spec describes. Deterministic in the spec.
 func BuildMulticore(spec colcache.SimSpec, lim Limits) (*BuiltMulticore, error) {
 	lim = lim.withDefaults()
-	m := machineWithDefaults(spec.Machine)
-	mc := multicoreWithDefaults(*spec.Multicore)
-	g, err := memory.NewGeometry(m.LineBytes, m.PageBytes)
-	if err != nil {
-		return nil, err
-	}
+	m := build.WithDefaults(spec.Machine)
+	mc := build.MulticoreWithDefaults(*spec.Multicore)
 	b := &BuiltMulticore{SharedAddresses: mc.SharedAddresses}
 	traces := make([]memtrace.Trace, len(mc.Cores))
 	for i, cs := range mc.Cores {
@@ -93,54 +75,17 @@ func BuildMulticore(spec colcache.SimSpec, lim Limits) (*BuiltMulticore, error) 
 		if err != nil {
 			return nil, fmt.Errorf("cores[%d]: %w", i, err)
 		}
-		tr := prog.Trace
-		if len(tr) > lim.MaxTraceAccesses {
+		if len(prog.Trace) > lim.MaxTraceAccesses {
 			return nil, fmt.Errorf("cores[%d]: %w (limit %d)", i, memtrace.ErrTraceTooLarge, lim.MaxTraceAccesses)
 		}
-		if !mc.SharedAddresses {
-			shifted := make(memtrace.Trace, len(tr))
-			shift := uint64(i) << 32 // disjoint per-core address windows
-			for k, a := range tr {
-				a.Addr += shift
-				shifted[k] = a
-			}
-			tr = shifted
-		}
-		traces[i] = tr
-		b.TraceAccesses += int64(len(tr))
+		traces[i] = prog.Trace
+		b.TraceAccesses += int64(len(prog.Trace))
 		b.Workloads = append(b.Workloads, cs.Workload.Name)
 	}
-	timing := memsys.DefaultTiming
-	timing.MissPenalty = m.MissPenalty
-	mach, err := multicore.New(multicore.Config{
-		Geometry: g,
-		L1: cache.Config{
-			LineBytes: m.LineBytes,
-			NumSets:   m.Sets,
-			NumWays:   m.Ways,
-			Policy:    replacement.Kind(m.Policy),
-		},
-		L2: cache.Config{
-			LineBytes: m.LineBytes,
-			NumSets:   mc.L2Sets,
-			NumWays:   mc.L2Ways,
-			Policy:    replacement.Kind(m.Policy),
-		},
-		Timing:      timing,
-		L2HitCycles: mc.L2HitCycles,
-		Traces:      traces,
-	})
-	if err != nil {
+	var err error
+	if b.M, err = build.Multicore(m, mc, traces, nil); err != nil {
 		return nil, err
 	}
-	for i, cs := range mc.Cores {
-		if len(cs.Columns) > 0 {
-			if err := mach.SetL2Mask(i, replacement.Of(cs.Columns...)); err != nil {
-				return nil, fmt.Errorf("cores[%d]: %w", i, err)
-			}
-		}
-	}
-	b.M = mach
 	return b, nil
 }
 
@@ -188,13 +133,6 @@ func MulticoreResult(label string, b *BuiltMulticore) colcache.SimResult {
 		l1.Evictions += cs.L1.Evictions
 		l1.Writebacks += cs.L1.Writebacks
 		l1.Fills += cs.L1.Fills
-		mask := b.M.L2Mask(i)
-		var cols []int
-		for w := 0; w < 64; w++ {
-			if mask.Has(w) {
-				cols = append(cols, w)
-			}
-		}
 		cr := colcache.CoreResult{
 			Workload:          b.Workloads[i],
 			Instructions:      cs.Instructions,
@@ -206,7 +144,7 @@ func MulticoreResult(label string, b *BuiltMulticore) colcache.SimResult {
 			InvalidationsRecv: cs.InvalidationsRecv,
 			Interventions:     cs.Interventions,
 			Upgrades:          cs.Upgrades,
-			Columns:           cols,
+			Columns:           b.M.L2Mask(i).Ways(64),
 		}
 		res.Multicore.Cores = append(res.Multicore.Cores, cr)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	colcache "colcache"
+	"colcache/internal/build"
 	"colcache/internal/experiments"
 	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
@@ -462,7 +463,7 @@ func expandSweep(sw colcache.SweepSpec, maxPoints int) ([]colcache.SimSpec, erro
 							w := *wl
 							spec.Workload = &w
 						}
-						m := machineWithDefaults(spec.Machine)
+						m := build.WithDefaults(spec.Machine)
 						label := fmt.Sprintf("sets=%d ways=%d policy=%s penalty=%d", m.Sets, m.Ways, m.Policy, m.MissPenalty)
 						if wl != nil {
 							label = "wl=" + wl.Name + " " + label

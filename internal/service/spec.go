@@ -11,7 +11,7 @@ import (
 	"strings"
 
 	colcache "colcache"
-	"colcache/internal/cache"
+	"colcache/internal/build"
 	"colcache/internal/controller"
 	"colcache/internal/memory"
 	"colcache/internal/memsys"
@@ -52,33 +52,11 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-func machineWithDefaults(m colcache.MachineSpec) colcache.MachineSpec {
-	if m.LineBytes == 0 {
-		m.LineBytes = 32
-	}
-	if m.Sets == 0 {
-		m.Sets = 16
-	}
-	if m.Ways == 0 {
-		m.Ways = 4
-	}
-	if m.PageBytes == 0 {
-		m.PageBytes = 4096
-	}
-	if m.Policy == "" {
-		m.Policy = string(replacement.LRU)
-	}
-	if m.MissPenalty == 0 {
-		m.MissPenalty = 20
-	}
-	return m
-}
-
 // ValidateMachine checks a machine spec against the limits without
 // building anything; submission-time rejection keeps garbage out of the
 // queue.
 func ValidateMachine(m colcache.MachineSpec, lim Limits) error {
-	m = machineWithDefaults(m)
+	m = build.WithDefaults(m)
 	lim = lim.withDefaults()
 	if !memory.IsPow2(m.LineBytes) || m.LineBytes < 8 || m.LineBytes > 4096 {
 		return fmt.Errorf("line_bytes %d: want a power of two in [8,4096]", m.LineBytes)
@@ -168,7 +146,7 @@ func validateSpec(spec colcache.SimSpec, hasUpload bool, lim Limits) error {
 	if spec.Multicore != nil {
 		return ValidateMulticore(spec, lim)
 	}
-	m := machineWithDefaults(spec.Machine)
+	m := build.WithDefaults(spec.Machine)
 	for i, mp := range spec.Maps {
 		if mp.Size == 0 {
 			return fmt.Errorf("maps[%d]: zero size", i)
@@ -323,28 +301,9 @@ type Built struct {
 // all of a sweep's points).
 func BuildSim(spec colcache.SimSpec, trace memtrace.Trace, lim Limits) (*Built, error) {
 	lim = lim.withDefaults()
-	m := machineWithDefaults(spec.Machine)
-	g, err := memory.NewGeometry(m.LineBytes, m.PageBytes)
-	if err != nil {
-		return nil, err
-	}
-	timing := memsys.DefaultTiming
-	timing.MissPenalty = m.MissPenalty
-	sys, err := memsys.New(memsys.Config{
-		Geometry: g,
-		Cache: cache.Config{
-			LineBytes: m.LineBytes,
-			NumSets:   m.Sets,
-			NumWays:   m.Ways,
-			Policy:    replacement.Kind(m.Policy),
-		},
-		Timing: timing,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	b := &Built{Sys: sys, Trace: trace}
+	m := build.WithDefaults(spec.Machine)
+	b := &Built{Trace: trace}
+	var err error
 	switch {
 	case spec.TraceText != "":
 		if b.Trace == nil {
@@ -368,41 +327,13 @@ func BuildSim(spec colcache.SimSpec, trace memtrace.Trace, lim Limits) (*Built, 
 	if len(b.Trace) > lim.MaxTraceAccesses {
 		return nil, fmt.Errorf("%w (limit %d)", memtrace.ErrTraceTooLarge, lim.MaxTraceAccesses)
 	}
-
-	for i, mp := range spec.Maps {
-		name := mp.Name
-		if name == "" {
-			name = fmt.Sprintf("map%d@%x", i, mp.Base)
-		}
-		r := memory.Region{Name: name, Base: mp.Base, Size: mp.Size}
-		if _, err := sys.MapRegion(r, replacement.Of(mp.Columns...)); err != nil {
-			return nil, err
-		}
+	if b.Sys, err = build.System(m, spec.Maps); err != nil {
+		return nil, err
 	}
-
 	if spec.Adaptive != nil {
-		a := *spec.Adaptive
-		if a.EpochAccesses <= 0 {
-			a.EpochAccesses = 4096
-		}
-		if a.MinGainHits <= 0 {
-			a.MinGainHits = 16
-		}
-		tints := sys.Tints().Tints()
-		specs := make([]controller.Spec, len(tints))
-		for i, id := range tints {
-			specs[i] = controller.Spec{ID: id, Min: 1, Max: m.Ways}
-		}
-		ctl, err := controller.New(sys.Tints(), m.Sets, m.LineBytes, specs, controller.Config{
-			EpochAccesses: a.EpochAccesses,
-			MinGainHits:   a.MinGainHits,
-			SampleEvery:   a.SampleEvery,
-		})
-		if err != nil {
+		if b.Ctl, err = build.Adaptive(b.Sys, m, build.AdaptiveWithDefaults(*spec.Adaptive)); err != nil {
 			return nil, err
 		}
-		sys.SetAccessObserver(ctl)
-		b.Ctl = ctl
 	}
 	return b, nil
 }
@@ -419,13 +350,7 @@ func TintViews(sys *memsys.System, ways int) []colcache.TintView {
 		if !ok {
 			continue
 		}
-		var cols []int
-		for c := 0; c < ways; c++ {
-			if mask&(1<<uint(c)) != 0 {
-				cols = append(cols, c)
-			}
-		}
-		out = append(out, colcache.TintView{Name: table.Name(id), Mask: uint64(mask), Columns: cols})
+		out = append(out, colcache.TintView{Name: table.Name(id), Mask: uint64(mask), Columns: mask.Ways(ways)})
 	}
 	return out
 }
@@ -433,7 +358,7 @@ func TintViews(sys *memsys.System, ways int) []colcache.TintView {
 // Result composes the final SimResult from a finished run.
 func Result(label string, b *Built, cycles int64, m colcache.MachineSpec) colcache.SimResult {
 	st := b.Sys.Stats()
-	mm := machineWithDefaults(m)
+	mm := build.WithDefaults(m)
 	res := colcache.SimResult{
 		Label:         label,
 		Workload:      b.Workload,
@@ -441,18 +366,10 @@ func Result(label string, b *Built, cycles int64, m colcache.MachineSpec) colcac
 		Instructions:  st.Instructions,
 		Cycles:        cycles,
 		CPI:           st.CPI(),
-		Cache: colcache.CacheCounters{
-			Accesses:   st.Cache.Accesses,
-			Hits:       st.Cache.Hits,
-			Misses:     st.Cache.Misses,
-			Evictions:  st.Cache.Evictions,
-			Writebacks: st.Cache.Writebacks,
-			Fills:      st.Cache.Fills,
-			MissRate:   st.Cache.MissRate(),
-		},
-		TLBHitRate: st.TLB.HitRate(),
-		Remaps:     b.Sys.Tints().Remaps(),
-		Tints:      TintViews(b.Sys, mm.Ways),
+		Cache:         cacheCounters(st.Cache),
+		TLBHitRate:    st.TLB.HitRate(),
+		Remaps:        b.Sys.Tints().Remaps(),
+		Tints:         TintViews(b.Sys, mm.Ways),
 	}
 	if b.Ctl != nil {
 		b.Ctl.FinishEpoch()
