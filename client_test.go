@@ -122,15 +122,24 @@ func TestClientErrors(t *testing.T) {
 		t.Fatalf("malformed trace_text: %v, want a 400", err)
 	}
 
-	// Failed job: JobFailedError from the synchronous helper. A generated
-	// workload is held to MaxTraceAccesses only after it runs, so this
-	// spec is accepted and then fails in the queue.
+	// Over-limit workload: its trace length is computed from its knobs at
+	// submission, so it is a bad spec naming the limit, never a job.
 	small, _ := newTestService(t, service.Config{Workers: 1, QueueDepth: 4,
 		Limits: service.Limits{MaxTraceAccesses: 16}})
+	if _, err := small.Simulate(ctx, clientSpec("too-long")); !errors.As(err, &se) || se.StatusCode != 400 {
+		t.Fatalf("over-limit workload: %v, want a 400", err)
+	} else if !strings.Contains(se.Message, "limit 16") {
+		t.Fatalf("over-limit message does not name the limit: %q", se.Message)
+	}
+
+	// Failed job: JobFailedError from the synchronous helper. A job
+	// timeout shorter than any run fails the job in the queue.
+	slow, _ := newTestService(t, service.Config{Workers: 1, QueueDepth: 4,
+		JobTimeout: time.Nanosecond})
 	var fe *colcache.JobFailedError
-	if _, err := small.Simulate(ctx, clientSpec("too-long")); !errors.As(err, &fe) {
-		t.Fatalf("over-limit workload: %v, want a JobFailedError", err)
-	} else if fe.Info.State != colcache.StateFailed || !strings.Contains(fe.Info.Error, "limit") {
+	if _, err := slow.Simulate(ctx, clientSpec("too-slow")); !errors.As(err, &fe) {
+		t.Fatalf("timed-out job: %v, want a JobFailedError", err)
+	} else if fe.Info.State != colcache.StateFailed || !strings.Contains(fe.Info.Error, "timeout") {
 		t.Fatalf("failed job info: %+v", fe.Info)
 	}
 

@@ -27,7 +27,7 @@
 // streamed, one per core, instead of being loaded first. -l2cols
 // core:col[,col...] restricts a core's L2 replacement to the given columns
 // (repeatable). The single-core flags -map, -plan, -adaptive, -describe,
-// -reuse and -jobmask are rejected with -cores.
+// -reuse, -jobmask, -quantum, -epoch and -mingain are rejected with -cores.
 //
 // The flags translate to the colcache machine specs, and internal/build
 // turns those into the machine, as it does for colserved's specs.
@@ -334,7 +334,8 @@ func singleCoreFlagSet() string {
 	var name string
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "map", "plan", "adaptive", "describe", "reuse", "jobmask":
+		case "map", "plan", "adaptive", "describe", "reuse", "jobmask",
+			"quantum", "epoch", "mingain":
 			if name == "" {
 				name = f.Name
 			}

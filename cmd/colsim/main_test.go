@@ -207,6 +207,9 @@ func TestMulticoreRejectsSingleCoreFlags(t *testing.T) {
 		{"-describe"},
 		{"-reuse"},
 		{"-jobmask", "0:0"},
+		{"-quantum", "7"},
+		{"-epoch", "3"},
+		{"-mingain", "0"},
 	} {
 		argv := append([]string{"-binary", "-cores", "2"}, args...)
 		stdout, stderr, code := runColsim(t, append(argv, a, b)...)

@@ -107,6 +107,12 @@ type Recorder struct {
 	think uint32
 }
 
+// NewRecorder returns a Recorder with room for accesses records, so a
+// caller that knows its trace length records without regrowing.
+func NewRecorder(accesses int) *Recorder {
+	return &Recorder{trace: make(Trace, 0, accesses)}
+}
+
 // Think accrues n non-memory instructions before the next access.
 func (r *Recorder) Think(n int) {
 	if n < 0 {

@@ -19,6 +19,7 @@ const MaxCores = 16
 // machine spec (the per-core L1) is validated by ValidateSim as usual.
 func ValidateMulticore(spec colcache.SimSpec, lim Limits) error {
 	lim = lim.withDefaults()
+	m := build.WithDefaults(spec.Machine)
 	mc := build.MulticoreWithDefaults(*spec.Multicore)
 	if len(spec.Maps) != 0 {
 		return fmt.Errorf("multicore: maps are not supported (use per-core columns for the shared L2)")
@@ -39,7 +40,7 @@ func ValidateMulticore(spec colcache.SimSpec, lim Limits) error {
 		return fmt.Errorf("multicore: l2_hit_cycles %d out of range", mc.L2HitCycles)
 	}
 	for i, cs := range mc.Cores {
-		if err := validateWorkload(cs.Workload, lim); err != nil {
+		if err := validateWorkload(cs.Workload, m.LineBytes, lim); err != nil {
 			return fmt.Errorf("multicore: cores[%d]: %w", i, err)
 		}
 		for _, c := range cs.Columns {
@@ -71,12 +72,9 @@ func BuildMulticore(spec colcache.SimSpec, lim Limits) (*BuiltMulticore, error) 
 	b := &BuiltMulticore{SharedAddresses: mc.SharedAddresses}
 	traces := make([]memtrace.Trace, len(mc.Cores))
 	for i, cs := range mc.Cores {
-		prog, err := BuildWorkload(cs.Workload, m.LineBytes)
+		_, prog, err := generate(cs.Workload, m.LineBytes, lim.MaxTraceAccesses, true)
 		if err != nil {
 			return nil, fmt.Errorf("cores[%d]: %w", i, err)
-		}
-		if len(prog.Trace) > lim.MaxTraceAccesses {
-			return nil, fmt.Errorf("cores[%d]: %w (limit %d)", i, memtrace.ErrTraceTooLarge, lim.MaxTraceAccesses)
 		}
 		traces[i] = prog.Trace
 		b.TraceAccesses += int64(len(prog.Trace))

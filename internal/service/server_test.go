@@ -568,3 +568,57 @@ func TestStoreEvictionKeepsLiveJobs(t *testing.T) {
 		t.Fatal("newest job evicted")
 	}
 }
+
+// TestOverLimitWorkloadRejectedAtSubmit checks that a generated trace
+// longer than MaxTraceAccesses is refused from its access count at
+// submission — as a simulate's workload, as one core of a multicore
+// co-run, and as one point of a sweep — with a 400 that names the limit.
+// No job is accepted and nothing reaches the WAL.
+func TestOverLimitWorkloadRejectedAtSubmit(t *testing.T) {
+	srv := newDurable(t, t.TempDir(), Config{Workers: 1, QueueDepth: 4, Limits: Limits{MaxTraceAccesses: 1000}})
+	defer srv.Drain(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	idct := colcache.WorkloadSpec{Name: "mpeg-idct", N: 1} // one block: 2,176 accesses
+	fits := colcache.WorkloadSpec{Name: "stream", SizeBytes: 2048, Passes: 1}
+	machine := colcache.MachineSpec{Sets: 16, Ways: 4}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"simulate", "/v1/simulate", colcache.SimSpec{Machine: machine, Workload: &idct}},
+		// size_bytes 2^28 over 1,024 passes of 4-byte elements: 2^36.
+		{"saturating", "/v1/simulate", colcache.SimSpec{Machine: machine,
+			Workload: &colcache.WorkloadSpec{Name: "stream", SizeBytes: 1 << 28, Passes: 1024}}},
+		{"multicore core", "/v1/simulate", colcache.SimSpec{Machine: machine, Multicore: &colcache.MulticoreSpec{
+			Cores: []colcache.CoreSpec{{Workload: fits}, {Workload: idct}}}}},
+		{"sweep point", "/v1/sweep", colcache.SweepSpec{Base: colcache.SimSpec{Machine: machine, Workload: &fits},
+			Workloads: []colcache.WorkloadSpec{fits, idct}}},
+	} {
+		resp, body := postJSON(t, ts, tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "limit 1000") {
+			t.Errorf("%s: HTTP %d: %s; want a 400 naming the limit", tc.name, resp.StatusCode, body)
+		}
+	}
+	for _, kind := range []string{"simulate", "multicore", "sweep"} {
+		if got := srv.MetricsRegistry().Jobs.Get(kind, "accepted"); got != 0 {
+			t.Errorf("%s accepted = %d after over-limit submissions, want 0", kind, got)
+		}
+	}
+	if n := len(srv.store.recent(10)); n != 0 {
+		t.Errorf("%d jobs stored after over-limit submissions, want 0", n)
+	}
+	if st := srv.dur.Log.Stats(); st.Records != 0 {
+		t.Errorf("%d WAL records after over-limit submissions, want 0", st.Records)
+	}
+
+	// The same machine accepts a workload that fits, and logs it.
+	resp, body := postJSON(t, ts, "/v1/simulate", colcache.SimSpec{Machine: machine, Workload: &fits})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fitting workload: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if st := srv.dur.Log.Stats(); st.Records == 0 {
+		t.Error("accepted job left no WAL record")
+	}
+}

@@ -8,6 +8,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	colcache "colcache"
@@ -138,15 +139,15 @@ func validateSpec(spec colcache.SimSpec, hasUpload bool, lim Limits) error {
 	if sources != 1 {
 		return fmt.Errorf("want exactly one trace source (workload, trace_text, multicore, or binary upload), got %d", sources)
 	}
+	m := build.WithDefaults(spec.Machine)
 	if spec.Workload != nil {
-		if err := validateWorkload(*spec.Workload, lim); err != nil {
+		if err := validateWorkload(*spec.Workload, m.LineBytes, lim); err != nil {
 			return err
 		}
 	}
 	if spec.Multicore != nil {
 		return ValidateMulticore(spec, lim)
 	}
-	m := build.WithDefaults(spec.Machine)
 	for i, mp := range spec.Maps {
 		if mp.Size == 0 {
 			return fmt.Errorf("maps[%d]: zero size", i)
@@ -168,17 +169,12 @@ func validateSpec(spec colcache.SimSpec, hasUpload bool, lim Limits) error {
 	return nil
 }
 
-// workloadCaps bounds generator parameters so a single spec cannot demand
-// an absurd trace; the trace-length limit is enforced again after
-// generation.
-func validateWorkload(w colcache.WorkloadSpec, lim Limits) error {
+// validateWorkload bounds w's knobs and refuses a spec whose trace would
+// exceed lim.MaxTraceAccesses, from the generator's access count, before
+// anything is generated. lineBytes is the machine's line size (phaseshift
+// sweeps line by line).
+func validateWorkload(w colcache.WorkloadSpec, lineBytes int, lim Limits) error {
 	lim = lim.withDefaults()
-	switch w.Name {
-	case "stream", "strided", "random", "chase", "phaseshift", "writesweep",
-		"matmul", "fir", "histogram", "mpeg-dequant", "mpeg-plus", "mpeg-idct", "gzip":
-	default:
-		return fmt.Errorf("unknown workload %q (want one of stream, strided, random, chase, phaseshift, writesweep, matmul, fir, histogram, mpeg-dequant, mpeg-plus, mpeg-idct, gzip)", w.Name)
-	}
 	if w.N < 0 || w.N > lim.MaxTraceAccesses {
 		return fmt.Errorf("workload n %d out of [0,%d]", w.N, lim.MaxTraceAccesses)
 	}
@@ -200,18 +196,14 @@ func validateWorkload(w colcache.WorkloadSpec, lim Limits) error {
 	if w.Name == "matmul" && w.N > 512 {
 		return fmt.Errorf("matmul n %d exceeds 512", w.N)
 	}
-	if w.Name == "fir" {
-		// The kernel needs at least one full filter window of samples.
-		samples, taps := w.N, w.Taps
-		if samples <= 0 {
-			samples = 1024
-		}
-		if taps <= 0 {
-			taps = 32
-		}
-		if samples < taps {
-			return fmt.Errorf("fir: n %d shorter than taps %d", samples, taps)
-		}
+	n, _, err := generate(w, lineBytes, lim.MaxTraceAccesses, false)
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		// fir with fewer samples than taps, or a stream shorter than one
+		// element: nothing to simulate, as for an empty upload.
+		return fmt.Errorf("workload %s: empty trace", w.Name)
 	}
 	return nil
 }
@@ -219,6 +211,17 @@ func validateWorkload(w colcache.WorkloadSpec, lim Limits) error {
 // BuildWorkload synthesizes the named workload's trace. Deterministic in
 // the spec.
 func BuildWorkload(w colcache.WorkloadSpec, lineBytes int) (*workloads.Program, error) {
+	_, prog, err := generate(w, lineBytes, math.MaxInt, true)
+	return prog, err
+}
+
+// generate resolves w's defaults once and counts the accesses its trace
+// will hold from those knobs. A count past limit is an error wrapping
+// memtrace.ErrTraceTooLarge, and the trace is never generated; otherwise,
+// with build set, generate records it. A gzip window whose lower bound
+// already exceeds limit is refused without counting it, so the count
+// reported for it is that bound.
+func generate(w colcache.WorkloadSpec, lineBytes, limit int, build bool) (int, *workloads.Program, error) {
 	n := w.N
 	size := w.SizeBytes
 	passes := w.Passes
@@ -236,54 +239,87 @@ func BuildWorkload(w colcache.WorkloadSpec, lineBytes int) (*workloads.Program, 
 			*v = d
 		}
 	}
+	var (
+		accesses int
+		gen      func() *workloads.Program
+	)
 	switch w.Name {
 	case "stream":
 		orDefaultU(&size, 1<<16)
 		orDefault(&passes, 2)
-		return synth.Stream(0, size, 4, passes), nil
+		accesses = synth.StreamAccesses(size, 4, passes)
+		gen = func() *workloads.Program { return synth.Stream(0, size, 4, passes) }
 	case "strided":
 		orDefaultU(&size, 1<<16)
 		orDefault(&passes, 2)
 		stride := w.Stride
 		orDefaultU(&stride, 128)
-		return synth.Strided(0, size, stride, passes), nil
+		accesses = synth.StridedAccesses(size, stride, passes)
+		gen = func() *workloads.Program { return synth.Strided(0, size, stride, passes) }
 	case "random":
 		orDefaultU(&size, 1<<20)
 		orDefault(&n, 20000)
-		return synth.Random(0, size, n, seed), nil
+		accesses = synth.RandomAccesses(n)
+		gen = func() *workloads.Program { return synth.Random(0, size, n, seed) }
 	case "chase":
 		orDefault(&n, 20000)
-		return synth.PointerChase(0, 1024, 64, n, seed), nil
+		accesses = synth.PointerChaseAccesses(n)
+		gen = func() *workloads.Program { return synth.PointerChase(0, 1024, 64, n, seed) }
 	case "phaseshift":
 		orDefaultU(&size, 4096)
 		phases := w.Phases
 		orDefault(&phases, 4)
 		orDefault(&passes, 2)
-		return synth.PhaseShift(0, size, phases, passes, 64, lineBytes, seed), nil
+		accesses = synth.PhaseShiftAccesses(size, phases, passes, 64, lineBytes)
+		gen = func() *workloads.Program { return synth.PhaseShift(0, size, phases, passes, 64, lineBytes, seed) }
 	case "writesweep":
 		orDefaultU(&size, 1<<16)
 		orDefault(&passes, 2)
-		return synth.WriteSweep(0, size, 4, passes), nil
+		accesses = synth.StreamAccesses(size, 4, passes)
+		gen = func() *workloads.Program { return synth.WriteSweep(0, size, 4, passes) }
 	case "matmul":
-		return kernels.MatMul(kernels.MatMulConfig{N: n, Seed: seed}), nil
+		cfg := kernels.MatMulConfig{N: n, Seed: seed}
+		accesses = kernels.MatMulAccesses(cfg)
+		gen = func() *workloads.Program { return kernels.MatMul(cfg) }
 	case "fir":
-		return kernels.FIR(kernels.FIRConfig{Samples: n, Taps: w.Taps, Seed: seed}), nil
+		cfg := kernels.FIRConfig{Samples: n, Taps: w.Taps, Seed: seed}
+		accesses = kernels.FIRAccesses(cfg)
+		gen = func() *workloads.Program { return kernels.FIR(cfg) }
 	case "histogram":
-		return kernels.Histogram(kernels.HistogramConfig{Samples: n, Bins: w.Bins, Seed: seed}), nil
+		cfg := kernels.HistogramConfig{Samples: n, Bins: w.Bins, Seed: seed}
+		accesses = kernels.HistogramAccesses(cfg)
+		gen = func() *workloads.Program { return kernels.Histogram(cfg) }
 	case "mpeg-dequant":
-		return mpeg.Dequant(mpeg.Config{DequantBlocks: n, Seed: seed}), nil
+		cfg := mpeg.Config{DequantBlocks: n, Seed: seed}
+		accesses = mpeg.DequantAccesses(cfg)
+		gen = func() *workloads.Program { return mpeg.Dequant(cfg) }
 	case "mpeg-plus":
-		return mpeg.Plus(mpeg.Config{PlusBlocks: n, Seed: seed}), nil
+		cfg := mpeg.Config{PlusBlocks: n, Seed: seed}
+		accesses = mpeg.PlusAccesses(cfg)
+		gen = func() *workloads.Program { return mpeg.Plus(cfg) }
 	case "mpeg-idct":
-		return mpeg.Idct(mpeg.Config{IdctBlocks: n, Seed: seed}), nil
+		cfg := mpeg.Config{IdctBlocks: n, Seed: seed}
+		accesses = mpeg.IdctAccesses(cfg)
+		gen = func() *workloads.Program { return mpeg.Idct(cfg) }
 	case "gzip":
 		cfg := gzipsim.Config{Seed: seed}
 		if size != 0 {
 			cfg.WindowBytes = int(size)
 		}
-		return gzipsim.Job(cfg, 0), nil
+		if accesses = gzipsim.MinAccesses(cfg); accesses <= limit {
+			accesses = gzipsim.Accesses(cfg)
+		}
+		gen = func() *workloads.Program { return gzipsim.Job(cfg, 0) }
+	default:
+		return 0, nil, fmt.Errorf("unknown workload %q (want one of stream, strided, random, chase, phaseshift, writesweep, matmul, fir, histogram, mpeg-dequant, mpeg-plus, mpeg-idct, gzip)", w.Name)
 	}
-	return nil, fmt.Errorf("unknown workload %q", w.Name)
+	if accesses > limit {
+		return accesses, nil, fmt.Errorf("workload %s: %d accesses: %w (limit %d)", w.Name, accesses, memtrace.ErrTraceTooLarge, limit)
+	}
+	if !build {
+		return accesses, nil, nil
+	}
+	return accesses, gen(), nil
 }
 
 // Built is a ready-to-run simulation: the machine, its trace, and the
@@ -313,9 +349,14 @@ func BuildSim(spec colcache.SimSpec, trace memtrace.Trace, lim Limits) (*Built, 
 		}
 		b.Workload = "inline"
 	case trace != nil:
+		// An upload recovered from the WAL was decoded without a limit,
+		// and the limit may have fallen since it was accepted.
+		if len(trace) > lim.MaxTraceAccesses {
+			return nil, fmt.Errorf("%w (limit %d)", memtrace.ErrTraceTooLarge, lim.MaxTraceAccesses)
+		}
 		b.Workload = "upload"
 	case spec.Workload != nil:
-		prog, err := BuildWorkload(*spec.Workload, m.LineBytes)
+		_, prog, err := generate(*spec.Workload, m.LineBytes, lim.MaxTraceAccesses, true)
 		if err != nil {
 			return nil, err
 		}
@@ -323,9 +364,6 @@ func BuildSim(spec colcache.SimSpec, trace memtrace.Trace, lim Limits) (*Built, 
 		b.Workload = spec.Workload.Name
 	default:
 		return nil, fmt.Errorf("no trace source")
-	}
-	if len(b.Trace) > lim.MaxTraceAccesses {
-		return nil, fmt.Errorf("%w (limit %d)", memtrace.ErrTraceTooLarge, lim.MaxTraceAccesses)
 	}
 	if b.Sys, err = build.System(m, spec.Maps); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	colcache "colcache"
 	"colcache/internal/memtrace"
+	"colcache/internal/workloads/gzipsim"
 )
 
 func TestValidateMachine(t *testing.T) {
@@ -119,7 +120,7 @@ func TestBuildWorkloadRegistry(t *testing.T) {
 		if name == "fir" {
 			w.N = 64 // must cover the default 32-tap window
 		}
-		if err := validateWorkload(w, DefaultLimits); err != nil {
+		if err := validateWorkload(w, 32, DefaultLimits); err != nil {
 			t.Errorf("%s: validate: %v", name, err)
 			continue
 		}
@@ -195,6 +196,45 @@ func TestBuildSimTraceLimit(t *testing.T) {
 	spec := colcache.SimSpec{Workload: &colcache.WorkloadSpec{Name: "random", N: 100}}
 	if _, err := BuildSim(spec, nil, lim); err == nil {
 		t.Fatal("over-limit generated trace accepted")
+	}
+}
+
+// TestValidateSimCountsWorkloads checks that the trace limit is held from
+// each generator's access count: exactly at the limit is accepted and one
+// past it refused, counts saturate instead of wrapping under a huge limit,
+// and a gzip window too large to count is refused from its lower bound.
+func TestValidateSimCountsWorkloads(t *testing.T) {
+	validate := func(w colcache.WorkloadSpec, limit int) error {
+		return ValidateSim(colcache.SimSpec{Workload: &w}, false, Limits{MaxTraceAccesses: limit})
+	}
+	gzip := gzipsim.Accesses(gzipsim.Config{Seed: 1})
+	for _, tc := range []struct {
+		w     colcache.WorkloadSpec
+		count int
+	}{
+		{colcache.WorkloadSpec{Name: "mpeg-idct", N: 1}, 2176},
+		{colcache.WorkloadSpec{Name: "mpeg-dequant", N: 2}, 2 * 193},
+		{colcache.WorkloadSpec{Name: "mpeg-plus", N: 3}, 3 * 256},
+		{colcache.WorkloadSpec{Name: "stream", SizeBytes: 4096, Passes: 3}, 3 * 1024},
+		{colcache.WorkloadSpec{Name: "phaseshift", SizeBytes: 4096}, 4 * 2 * (4096/32 + 64)},
+		{colcache.WorkloadSpec{Name: "gzip"}, gzip},
+	} {
+		if err := validate(tc.w, tc.count); err != nil {
+			t.Errorf("%+v at limit %d: %v", tc.w, tc.count, err)
+		}
+		if err := validate(tc.w, tc.count-1); !errors.Is(err, memtrace.ErrTraceTooLarge) {
+			t.Errorf("%+v at limit %d: %v, want ErrTraceTooLarge", tc.w, tc.count-1, err)
+		}
+	}
+	// 2176·(2^62+1) wraps to 2176 in int64; saturated, it is refused.
+	if err := validate(colcache.WorkloadSpec{Name: "mpeg-idct", N: 1<<62 + 1}, 1<<62+1); !errors.Is(err, memtrace.ErrTraceTooLarge) {
+		t.Errorf("wrapping idct count: %v, want ErrTraceTooLarge", err)
+	}
+	if err := validate(colcache.WorkloadSpec{Name: "gzip", SizeBytes: 1 << 28}, DefaultLimits.MaxTraceAccesses); !errors.Is(err, memtrace.ErrTraceTooLarge) {
+		t.Errorf("2^28-byte gzip window: %v, want ErrTraceTooLarge", err)
+	}
+	if err := validate(colcache.WorkloadSpec{Name: "fir", N: 8, Taps: 9}, DefaultLimits.MaxTraceAccesses); err == nil {
+		t.Error("fir with fewer samples than taps accepted")
 	}
 }
 

@@ -111,21 +111,29 @@ type compressor struct {
 	outPos                   uint64
 }
 
-type probe struct{ rec *memtrace.Recorder }
+// probe counts every access the compressor makes and records it when it
+// has a recorder; a pass without one is the count-only pass that sizes
+// Job's trace.
+type probe struct {
+	rec      *memtrace.Recorder
+	accesses int
+}
 
-func (p probe) load(r memory.Region, off uint64) {
+func (p *probe) load(r memory.Region, off uint64) {
+	p.accesses++
 	if p.rec != nil {
 		p.rec.LoadRegion(r, off)
 	}
 }
 
-func (p probe) store(r memory.Region, off uint64) {
+func (p *probe) store(r memory.Region, off uint64) {
+	p.accesses++
 	if p.rec != nil {
 		p.rec.StoreRegion(r, off)
 	}
 }
 
-func (p probe) think(n int) {
+func (p *probe) think(n int) {
 	if p.rec != nil {
 		p.rec.Think(n)
 	}
@@ -227,13 +235,13 @@ func (z *compressor) run() []Token {
 	return toks
 }
 
-func newCompressor(cfg Config, input []byte, p probe, winR, headR, prevR, outR memory.Region) *compressor {
+func newCompressor(cfg Config, input []byte, rec *memtrace.Recorder, winR, headR, prevR, outR memory.Region) *compressor {
 	z := &compressor{
 		cfg:    cfg,
 		window: input,
 		head:   make([]int32, 1<<cfg.HashBits),
 		prev:   make([]int32, len(input)),
-		p:      p,
+		p:      probe{rec: rec},
 		winR:   winR, headR: headR, prevR: prevR, outR: outR,
 	}
 	for i := range z.head {
@@ -249,8 +257,36 @@ func newCompressor(cfg Config, input []byte, p probe, winR, headR, prevR, outR m
 // without recording. Used directly by tests and examples.
 func Compress(cfg Config, input []byte) []Token {
 	cfg = cfg.withDefaults()
-	z := newCompressor(cfg, input, probe{}, memory.Region{}, memory.Region{}, memory.Region{}, memory.Region{})
+	z := newCompressor(cfg, input, nil, memory.Region{}, memory.Region{}, memory.Region{}, memory.Region{})
 	return z.run()
+}
+
+// Accesses is Job's trace length. It depends on the text being compressed,
+// so it is counted by a pass of the compressor that records nothing.
+func Accesses(cfg Config) int {
+	cfg = cfg.withDefaults()
+	return accesses(cfg, syntheticInput(cfg))
+}
+
+// MinAccesses bounds Accesses from below without running the compressor,
+// so a caller can refuse a window too large to count: every window byte
+// costs at least two accesses. A literal is read and stored (nine or more
+// accesses when it is hashed and inserted), and a byte inside a match is
+// read twice by the comparison that found the match.
+func MinAccesses(cfg Config) int {
+	return workloads.SatMul(2, cfg.withDefaults().WindowBytes)
+}
+
+func accesses(cfg Config, input []byte) int {
+	z := newCompressor(cfg, input, nil, memory.Region{}, memory.Region{}, memory.Region{}, memory.Region{})
+	z.run()
+	return z.p.accesses
+}
+
+func syntheticInput(cfg Config) []byte {
+	input := make([]byte, cfg.WindowBytes)
+	SyntheticText(input, cfg.Seed)
+	return input
 }
 
 // Decompress expands a token stream back into bytes.
@@ -274,7 +310,8 @@ func Decompress(toks []Token) []byte {
 // address spaces.
 func Job(cfg Config, base memory.Addr) *workloads.Program {
 	cfg = cfg.withDefaults()
-	env := workloads.NewEnv(base)
+	input := syntheticInput(cfg)
+	env := workloads.NewEnv(base, accesses(cfg, input))
 	// prev entries are 16-bit (window positions fit), as in gzip itself;
 	// the hot set (window + head + prev ≈ 56KB at defaults) then fits half
 	// of the 128KB cache but not the 16KB one — the Figure 5 contrast.
@@ -283,9 +320,7 @@ func Job(cfg Config, base memory.Addr) *workloads.Program {
 	prev := env.Space.Alloc("prev", uint64(2*cfg.WindowBytes), 64)
 	out := env.Space.Alloc("out", uint64(3*cfg.WindowBytes), 64)
 
-	input := make([]byte, cfg.WindowBytes)
-	SyntheticText(input, cfg.Seed)
-	z := newCompressor(cfg, input, probe{env.Rec}, win, head, prev, out)
+	z := newCompressor(cfg, input, env.Rec, win, head, prev, out)
 	z.run()
 	return env.Finish("gzip")
 }

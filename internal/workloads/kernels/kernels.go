@@ -93,13 +93,20 @@ func matmulRun(n int, a, b, c []int32, p probe, aR, bR, cR memory.Region) {
 func MatMul(cfg MatMulConfig) *workloads.Program {
 	cfg = cfg.withDefaults()
 	n := cfg.N
-	env := workloads.NewEnv(0x100000)
+	env := workloads.NewEnv(0x100000, MatMulAccesses(cfg))
 	aR := env.Space.Alloc("a", uint64(n*n)*4, 64)
 	bR := env.Space.Alloc("b", uint64(n*n)*4, 64)
 	cR := env.Space.Alloc("c", uint64(n*n)*4, 64)
 	a, b, c := matmulInit(cfg)
 	matmulRun(n, a, b, c, probe{env.Rec}, aR, bR, cR)
 	return env.Finish("matmul")
+}
+
+// MatMulAccesses is MatMul's trace length: two loads per multiply-add and
+// one store per output element, n³·2 + n².
+func MatMulAccesses(cfg MatMulConfig) int {
+	n := cfg.withDefaults().N
+	return workloads.SatMul(workloads.SatMul(n, n), workloads.SatAdd(workloads.SatMul(2, n), 1))
 }
 
 // MatMulValues returns the product matrix, computed by the same code path.
@@ -165,13 +172,20 @@ func firRun(cfg FIRConfig, x, h, y []int32, p probe, xR, hR, yR memory.Region) {
 // output).
 func FIR(cfg FIRConfig) *workloads.Program {
 	cfg = cfg.withDefaults()
-	env := workloads.NewEnv(0x200000)
+	env := workloads.NewEnv(0x200000, FIRAccesses(cfg))
 	xR := env.Space.Alloc("x", uint64(cfg.Samples)*4, 64)
 	hR := env.Space.Alloc("h", uint64(cfg.Taps)*4, 64)
 	yR := env.Space.Alloc("y", uint64(cfg.Samples-cfg.Taps+1)*4, 64)
 	x, h, y := firInit(cfg)
 	firRun(cfg, x, h, y, probe{env.Rec}, xR, hR, yR)
 	return env.Finish("fir")
+}
+
+// FIRAccesses is FIR's trace length: per output sample (Samples−Taps+1 of
+// them), two loads per tap and one store.
+func FIRAccesses(cfg FIRConfig) int {
+	cfg = cfg.withDefaults()
+	return workloads.SatMul(cfg.Samples-cfg.Taps+1, workloads.SatAdd(workloads.SatMul(2, cfg.Taps), 1))
 }
 
 // FIRValues returns the filtered samples, computed by the same code path.
@@ -234,12 +248,18 @@ func histRun(cfg HistogramConfig, data []uint8, bins []int32, p probe, dR, bR me
 // locality" data the paper routes to scratchpad).
 func Histogram(cfg HistogramConfig) *workloads.Program {
 	cfg = cfg.withDefaults()
-	env := workloads.NewEnv(0x300000)
+	env := workloads.NewEnv(0x300000, HistogramAccesses(cfg))
 	dR := env.Space.Alloc("data", uint64(cfg.Samples), 64)
 	bR := env.Space.Alloc("bins", uint64(cfg.Bins)*4, 64)
 	data, bins := histInit(cfg)
 	histRun(cfg, data, bins, probe{env.Rec}, dR, bR)
 	return env.Finish("histogram")
+}
+
+// HistogramAccesses is Histogram's trace length: per sample, a load of the
+// sample and a load and store of its bin.
+func HistogramAccesses(cfg HistogramConfig) int {
+	return workloads.SatMul(3, cfg.withDefaults().Samples)
 }
 
 // HistogramValues returns the bin counts, computed by the same code path.

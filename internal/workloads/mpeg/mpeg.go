@@ -61,6 +61,35 @@ func (c Config) withDefaults() Config {
 	return d
 }
 
+// Each kernel makes a fixed number of accesses per 8×8 block, so a trace's
+// length is that number times the block count.
+const (
+	// DequantAccessesPerBlock: the block's qscale, then per coefficient
+	// a load of it, a load of its qmat entry and a store of it.
+	DequantAccessesPerBlock = 1 + 64*3
+	// PlusAccessesPerBlock: per pixel, loads of its prediction, residual
+	// and clip entry and a store of the prediction.
+	PlusAccessesPerBlock = 64 * 4
+	// IdctAccessesPerBlock: two passes of 64 outputs, each eight pairs of
+	// loads and one store.
+	IdctAccessesPerBlock = 2 * 64 * (8*2 + 1)
+)
+
+// DequantAccesses is Dequant's trace length.
+func DequantAccesses(cfg Config) int {
+	return workloads.SatMul(cfg.withDefaults().DequantBlocks, DequantAccessesPerBlock)
+}
+
+// PlusAccesses is Plus's trace length.
+func PlusAccesses(cfg Config) int {
+	return workloads.SatMul(cfg.withDefaults().PlusBlocks, PlusAccessesPerBlock)
+}
+
+// IdctAccesses is Idct's trace length.
+func IdctAccesses(cfg Config) int {
+	return workloads.SatMul(cfg.withDefaults().IdctBlocks, IdctAccessesPerBlock)
+}
+
 // lcg is a small deterministic generator for synthetic coefficients.
 type lcg uint64
 
@@ -151,7 +180,7 @@ func dequantRun(nb int, d dequantData, p probe, qmatR, qscaleR, coefR memory.Reg
 func Dequant(cfg Config) *workloads.Program {
 	cfg = cfg.withDefaults()
 	nb := cfg.DequantBlocks
-	env := workloads.NewEnv(0x10000)
+	env := workloads.NewEnv(0x10000, DequantAccesses(cfg))
 	qmat := env.Space.Alloc("qmat", 64*2, 64)
 	qscale := env.Space.Alloc("qscale", uint64(nb)*2, 64)
 	coef := env.Space.Alloc("coef", uint64(nb)*64*2, 64)
@@ -232,7 +261,7 @@ func plusRun(nb int, d plusData, p probe, predR, residR, clipR memory.Region) {
 func Plus(cfg Config) *workloads.Program {
 	cfg = cfg.withDefaults()
 	nb := cfg.PlusBlocks
-	env := workloads.NewEnv(0x20000)
+	env := workloads.NewEnv(0x20000, PlusAccesses(cfg))
 	pred := env.Space.Alloc("pred", uint64(nb)*64, 64)
 	resid := env.Space.Alloc("resid", uint64(nb)*64*2, 64)
 	clip := env.Space.Alloc("clip", 512, 64)
@@ -338,7 +367,7 @@ func idctRun(nb int, d idctData, p probe, cosR, tmpR, blocksR memory.Region) {
 func Idct(cfg Config) *workloads.Program {
 	cfg = cfg.withDefaults()
 	nb := cfg.IdctBlocks
-	env := workloads.NewEnv(0x40000)
+	env := workloads.NewEnv(0x40000, IdctAccesses(cfg))
 	cosT := env.Space.Alloc("cos", 64*4, 64)
 	tmp := env.Space.Alloc("tmp", 64*4, 64)
 	blocks := env.Space.Alloc("blocks", uint64(nb)*64*2, 64)

@@ -274,3 +274,15 @@ func TestPipelineTracesIndependent(t *testing.T) {
 		t.Error("phase traces alias each other")
 	}
 }
+
+// TestAccessesPerBlock pins each kernel's fixed per-block access count,
+// and the default idct trace the service's serve mix generates.
+func TestAccessesPerBlock(t *testing.T) {
+	if DequantAccessesPerBlock != 193 || PlusAccessesPerBlock != 256 || IdctAccessesPerBlock != 2176 {
+		t.Fatalf("per-block accesses: dequant %d, plus %d, idct %d; want 193, 256, 2176",
+			DequantAccessesPerBlock, PlusAccessesPerBlock, IdctAccessesPerBlock)
+	}
+	if n := len(Idct(Config{}).Trace); n != 52224 || IdctAccesses(Config{}) != n {
+		t.Fatalf("default idct: %d accesses, counted %d; want 52224", n, IdctAccesses(Config{}))
+	}
+}

@@ -39,15 +39,15 @@ func Pipeline(cfg Config) []PipelinePhase {
 	nb := cfg.IdctBlocks
 
 	// One shared address space for the whole application.
-	env := workloads.NewEnv(0x10000)
-	block := env.Space.Alloc("block", uint64(nb)*64*2, 64) // shared int16 coefficient/pixel stream
-	qmat := env.Space.Alloc("qmat", 64*2, 64)              // dequant's table
-	qscale := env.Space.Alloc("qscale", uint64(nb)*2, 64)  // per-block scales
-	cosT := env.Space.Alloc("cos", 64*4, 64)               // idct's basis
-	tmp := env.Space.Alloc("tmp", 64*4, 64)                // idct's intermediate
-	pred := env.Space.Alloc("pred", uint64(nb)*64, 64)     // plus's prediction pixels
-	clip := env.Space.Alloc("clip", 512, 64)               // plus's saturation table
-	allVars := env.Space.Regions()
+	space := memory.NewSpace(0x10000)
+	block := space.Alloc("block", uint64(nb)*64*2, 64) // shared int16 coefficient/pixel stream
+	qmat := space.Alloc("qmat", 64*2, 64)              // dequant's table
+	qscale := space.Alloc("qscale", uint64(nb)*2, 64)  // per-block scales
+	cosT := space.Alloc("cos", 64*4, 64)               // idct's basis
+	tmp := space.Alloc("tmp", 64*4, 64)                // idct's intermediate
+	pred := space.Alloc("pred", uint64(nb)*64, 64)     // plus's prediction pixels
+	clip := space.Alloc("clip", 512, 64)               // plus's saturation table
+	allVars := space.Regions()
 
 	// Shared real data.
 	dq := dequantInit(Config{DequantBlocks: nb, Seed: cfg.Seed})
@@ -57,36 +57,32 @@ func Pipeline(cfg Config) []PipelinePhase {
 	// dequant inputs.
 	blockV := dq.coef
 
+	// Each phase records into a recorder sized to its own trace.
+	phase := func(name string, perBlock int, run func(probe)) PipelinePhase {
+		rec := memtrace.NewRecorder(workloads.SatMul(nb, perBlock))
+		run(probe{rec})
+		return PipelinePhase{
+			Name: name,
+			Prog: &workloads.Program{Name: name, Trace: rec.Trace(), Vars: allVars},
+			Vars: allVars,
+		}
+	}
 	var phases []PipelinePhase
 
 	// Phase 1: dequant over the shared block buffer.
-	env.Rec.Reset()
-	dequantRun(nb, dequantData{qmat: dq.qmat, qscale: dq.qscale, coef: blockV},
-		probe{env.Rec}, qmat, qscale, block)
-	phases = append(phases, PipelinePhase{
-		Name: "dequant",
-		Prog: &workloads.Program{Name: "dequant", Trace: snapshot(env.Rec.Trace()), Vars: allVars},
-		Vars: allVars,
-	})
+	phases = append(phases, phase("dequant", DequantAccessesPerBlock, func(p probe) {
+		dequantRun(nb, dequantData{qmat: dq.qmat, qscale: dq.qscale, coef: blockV}, p, qmat, qscale, block)
+	}))
 
 	// Phase 2: idct in place on the same buffer.
-	env.Rec.Reset()
-	idctRun(nb, idctData{cos: id.cos, tmp: id.tmp, blocks: blockV},
-		probe{env.Rec}, cosT, tmp, block)
-	phases = append(phases, PipelinePhase{
-		Name: "idct",
-		Prog: &workloads.Program{Name: "idct", Trace: snapshot(env.Rec.Trace()), Vars: allVars},
-		Vars: allVars,
-	})
+	phases = append(phases, phase("idct", IdctAccessesPerBlock, func(p probe) {
+		idctRun(nb, idctData{cos: id.cos, tmp: id.tmp, blocks: blockV}, p, cosT, tmp, block)
+	}))
 
 	// Phase 3: plus — add the reconstructed residuals to the prediction.
-	env.Rec.Reset()
-	plusPipelineRun(nb, pl.pred, blockV, pl.clip, probe{env.Rec}, pred, block, clip)
-	phases = append(phases, PipelinePhase{
-		Name: "plus",
-		Prog: &workloads.Program{Name: "plus", Trace: snapshot(env.Rec.Trace()), Vars: allVars},
-		Vars: allVars,
-	})
+	phases = append(phases, phase("plus", PlusAccessesPerBlock, func(p probe) {
+		plusPipelineRun(nb, pl.pred, blockV, pl.clip, p, pred, block, clip)
+	}))
 	return phases
 }
 
@@ -111,12 +107,4 @@ func plusPipelineRun(nb int, predV []uint8, blockV []int16, clipV []uint8, p pro
 			p.store(predR, off)
 		}
 	}
-}
-
-// snapshot copies a recorder's trace so later Reset calls cannot alias
-// earlier phases.
-func snapshot(t memtrace.Trace) memtrace.Trace {
-	out := make(memtrace.Trace, len(t))
-	copy(out, t)
-	return out
 }

@@ -11,6 +11,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"colcache/internal/memory"
 	"colcache/internal/memtrace"
@@ -59,12 +60,48 @@ type Env struct {
 	Rec   *memtrace.Recorder
 }
 
-// NewEnv returns an Env allocating from base.
-func NewEnv(base memory.Addr) *Env {
-	return &Env{Space: memory.NewSpace(base), Rec: &memtrace.Recorder{}}
+// NewEnv returns an Env allocating from base whose recorder has room for
+// exactly accesses records: every generator computes its trace length from
+// its knobs first, so the trace is one allocation that never regrows.
+func NewEnv(base memory.Addr, accesses int) *Env {
+	return &Env{Space: memory.NewSpace(base), Rec: memtrace.NewRecorder(accesses)}
 }
 
 // Finish packages the recorded trace and variables into a Program.
 func (e *Env) Finish(name string) *Program {
 	return &Program{Name: name, Trace: e.Rec.Trace(), Vars: e.Space.Regions()}
+}
+
+// Access counts are computed from a generator's knobs before it runs, so a
+// caller can refuse a trace that would be too long without building it.
+// Their arithmetic saturates at math.MaxInt instead of wrapping, so a count
+// past any limit stays past it, and a negative factor counts as zero, as a
+// loop with a negative bound never runs.
+
+// SatMul returns a·b, saturated.
+func SatMul(a, b int) int {
+	if a <= 0 || b <= 0 {
+		return 0
+	}
+	if a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+// SatAdd returns a+b, saturated.
+func SatAdd(a, b int) int {
+	a, b = max(a, 0), max(b, 0)
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+// SatInt converts a uint64 count to int, saturated.
+func SatInt(u uint64) int {
+	if u > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(u)
 }

@@ -5,7 +5,7 @@ import (
 )
 
 func TestEnvAndProgram(t *testing.T) {
-	env := NewEnv(0x1000)
+	env := NewEnv(0x1000, 2)
 	a := env.Space.Alloc("a", 64, 64)
 	b := env.Space.Alloc("b", 32, 64)
 	env.Rec.Think(2)
