@@ -9,9 +9,11 @@
 # Target map:
 #   build / test / race  - compile and run the suite (plain, then -race)
 #   lint                 - go vet + gofmt + staticcheck (skipped if absent)
-#   fuzz-smoke           - FuzzDecoder, FuzzReadBinary and FuzzSimSpec for
-#                          10 s each: the binary-trace decoder and the
-#                          spec validator parse uploaded request bodies
+#   fuzz-smoke           - FuzzDecoder, FuzzReadBinary, FuzzSimSpec and
+#                          FuzzCachedHit for 10 s each: the binary-trace
+#                          decoder and the spec validator parse uploaded
+#                          request bodies, and a cache hit splices the
+#                          request's label into stored bytes
 #   bench                - SMOKE gate: one iteration of every benchmark, so
 #                          every _test.go benchmark always compiles and
 #                          executes; not a measurement (perfbench/ is the
@@ -76,12 +78,14 @@ lint:
 
 # A short run of each fuzzer over the parsers of untrusted input: the
 # binary-trace decoder (checked against a per-record reference decoder)
-# and the JSON spec validator. A failing input is saved under the
-# package's testdata/fuzz/ and reruns in every later `go test`.
+# and the JSON spec validator, plus the cache-hit splice, checked against
+# decoding and re-encoding the stored envelope. A failing input is saved
+# under the package's testdata/fuzz/ and reruns in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecoder$$' -fuzztime=10s ./internal/memtrace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/memtrace
 	$(GO) test -run='^$$' -fuzz='^FuzzSimSpec$$' -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzCachedHit$$' -fuzztime=10s ./internal/service
 
 # One iteration of every benchmark: a smoke gate that keeps the benchmarks
 # compiling and executing, not a measurement. Measured runs live in

@@ -86,6 +86,43 @@ func TestDigestRetryRecovery(t *testing.T) {
 	}
 }
 
+// TestSubmissionOutlivesDeadline pins the end of a run: a submission the
+// server answers only after the load deadline is still read and its job
+// polled to done, so the ledger scraped afterwards closes. A submission
+// cancelled at the deadline can still be accepted by the server, and
+// colload would never poll that job.
+func TestSubmissionOutlivesDeadline(t *testing.T) {
+	var accepted, done atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeOK(w, map[string]bool{"ok": true})
+	})
+	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+		accepted.Add(1)
+		time.Sleep(300 * time.Millisecond) // answer past the 100ms deadline
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(colcache.JobInfo{ID: "j1", Kind: "simulate", State: colcache.StateQueued, SubmittedAt: time.Now()})
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		done.Add(1)
+		writeOK(w, colcache.JobInfo{ID: "j1", Kind: "simulate", State: colcache.StateDone, SubmittedAt: time.Now(), Result: &colcache.SimResult{}})
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "colserved_jobs_total{kind=\"simulate\",outcome=\"accepted\"} %d\n", accepted.Load())
+		fmt.Fprintf(w, "colserved_jobs_total{kind=\"simulate\",outcome=\"done\"} %d\n", done.Load())
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	if code := run([]string{"-base", ts.URL, "-c", "1", "-duration", "100ms"}); code != 0 {
+		t.Fatalf("colload exited %d; the submission in flight at the deadline must be seen through", code)
+	}
+	if a, d := accepted.Load(), done.Load(); a != 1 || d != 1 {
+		t.Fatalf("accepted %d, polled to done %d; want 1 and 1", a, d)
+	}
+}
+
 func writeOK(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)

@@ -159,7 +159,11 @@ func run(args []string) int {
 				}
 				start := time.Now()
 				submitted.Add(1)
-				info, err := client.SubmitSimulate(runCtx, s)
+				// The deadline stops new submissions, never one in flight:
+				// a cancelled submission can still be accepted by the
+				// server, leaving a job colload never polls and a ledger
+				// still open when it is scraped.
+				info, err := client.SubmitSimulate(context.Background(), s)
 				if err != nil {
 					var oe *colcache.OverloadedError
 					if errors.As(err, &oe) {
@@ -169,9 +173,6 @@ func run(args []string) int {
 						case <-time.After(oe.RetryAfter):
 						}
 						continue
-					}
-					if runCtx.Err() != nil {
-						return
 					}
 					errCount.Add(1)
 					log.Printf("colload: client %d submit: %v", c, err)

@@ -14,6 +14,12 @@
 // A mismatch on read (bit rot, partial write, tampering) quarantines the
 // file to <digest>.corrupt and reports a miss — the store never serves
 // bytes it cannot prove are the ones stored.
+//
+// A blob is checked on its first read from disk in each process; once it
+// has passed, its payload stays resident on its index entry, and later
+// hits are served from memory with no file I/O and no re-hash. The byte
+// budget already counts every indexed blob, so it bounds the resident
+// copies too, and eviction or quarantine drops them with the entry.
 package resultcache
 
 import (
@@ -52,7 +58,8 @@ type Counters struct {
 type entry struct {
 	size    int64
 	class   Class
-	lastUse int64 // monotonic use sequence, for LRU within a class
+	lastUse int64  // monotonic use sequence, for LRU within a class
+	data    []byte // verified payload, nil until the first Get reads it
 }
 
 // Cache is the content-addressed store. Safe for concurrent use.
@@ -126,9 +133,11 @@ func (c *Cache) blobPath(digest string) string {
 	return filepath.Join(c.dir, digest[:2], digest)
 }
 
-// Get returns the blob stored under digest, verifying the SHA-256 the
-// file carries ahead of the payload. A corrupt blob is quarantined and
-// reported as a miss.
+// Get returns the blob stored under digest. The first Get of an entry
+// reads its file and verifies the SHA-256 the file carries ahead of the
+// payload; a corrupt blob is quarantined and reported as a miss. A blob
+// that passes stays resident, and later Gets return the same slice, which
+// callers must not modify.
 func (c *Cache) Get(digest string) ([]byte, bool) {
 	if len(digest) != keyLen {
 		return nil, false
@@ -140,6 +149,11 @@ func (c *Cache) Get(digest string) ([]byte, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
+	if e.data != nil {
+		c.touchLocked(e)
+		c.mu.Unlock()
+		return e.data, true
+	}
 	c.mu.Unlock()
 
 	raw, err := os.ReadFile(c.blobPath(digest))
@@ -150,18 +164,29 @@ func (c *Cache) Get(digest string) ([]byte, bool) {
 	b := raw[sha256.Size:]
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	// The entry may have been evicted or quarantined while we read; only
-	// promote it if it is still the one we looked up.
+	// keep the payload on it if it is still the one we looked up.
 	if cur, ok := c.index[digest]; ok && cur == e {
-		c.useSeq++
-		e.lastUse = c.useSeq
-		if e.class == Cold {
-			e.class = Hot
+		if e.data == nil {
+			e.data = b
 		}
+		c.touchLocked(e)
+		return e.data, true
 	}
 	c.counters.Hits++
-	c.mu.Unlock()
 	return b, true
+}
+
+// touchLocked counts a hit on e and promotes it: most recently used, and
+// Hot if it was Cold.
+func (c *Cache) touchLocked(e *entry) {
+	c.counters.Hits++
+	c.useSeq++
+	e.lastUse = c.useSeq
+	if e.class == Cold {
+		e.class = Hot
+	}
 }
 
 // quarantine pulls a failed entry out of the index and renames its file

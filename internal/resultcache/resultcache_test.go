@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -112,6 +113,117 @@ func TestCorruptBlobQuarantined(t *testing.T) {
 	put(t, c, "pristine result bytes", false)
 	if b, ok := c.Get(d); !ok || string(b) != "pristine result bytes" {
 		t.Fatalf("re-Put after quarantine: %q, %v", b, ok)
+	}
+}
+
+// tamper overwrites d's blob file with bytes that fail its digest check.
+func tamper(t *testing.T, dir, d string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, d[:2], d), []byte("tampered result bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// After its first verified read a blob is served from memory: deleting
+// the file does not turn the next Get into a miss.
+func TestResidentHitSkipsDisk(t *testing.T) {
+	dir := t.TempDir()
+	c := openT(t, dir, 1<<20)
+	d := put(t, c, "resident result bytes", false)
+	first, ok := c.Get(d)
+	if !ok {
+		t.Fatal("first Get missed")
+	}
+	if err := os.Remove(filepath.Join(dir, d[:2], d)); err != nil {
+		t.Fatal(err)
+	}
+	second, ok := c.Get(d)
+	if !ok || string(second) != "resident result bytes" || &second[0] != &first[0] {
+		t.Fatalf("second Get: %q, %v (want the resident copy)", second, ok)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("Hits/Misses = %d/%d, want 2/0", st.Hits, st.Misses)
+	}
+}
+
+// Concurrent first reads agree on the bytes and each count a hit.
+func TestConcurrentFirstGets(t *testing.T) {
+	c := openT(t, t.TempDir(), 1<<20)
+	d := put(t, c, "shared result bytes", false)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b, ok := c.Get(d); !ok || string(b) != "shared result bytes" {
+				t.Errorf("Get: %q, %v", b, ok)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Hits != 8 {
+		t.Fatalf("Hits = %d, want 8", st.Hits)
+	}
+}
+
+// Eviction takes the resident copy with the entry: the same content put
+// again is verified from its new file, not served from memory.
+func TestEvictionDropsResidentCopy(t *testing.T) {
+	dir := t.TempDir()
+	c := openT(t, dir, 300) // two 132-byte entries fit, a third does not
+	blob := func(tag string) string { return tag + strings.Repeat("x", 100-len(tag)) }
+	d := put(t, c, blob("victim"), false)
+	if _, ok := c.Get(d); !ok {
+		t.Fatal("first Get missed")
+	}
+	put(t, c, blob("pin1"), true)
+	put(t, c, blob("pin2"), true)
+	if c.Contains(d) {
+		t.Fatal("the only unpinned entry survived eviction")
+	}
+	if _, ok := c.Get(d); ok {
+		t.Fatal("evicted entry still served")
+	}
+	put(t, c, blob("victim"), true)
+	tamper(t, dir, d)
+	if b, ok := c.Get(d); ok {
+		t.Fatalf("re-Put after eviction served %q without reading its file", b)
+	}
+	if st := c.Stats(); st.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+	}
+}
+
+// A first read that fails its check keeps nothing resident, and a re-Put
+// after quarantine is read and verified from disk again before it is
+// served from memory.
+func TestQuarantineKeepsNoResidentCopy(t *testing.T) {
+	dir := t.TempDir()
+	c := openT(t, dir, 1<<20)
+	d := put(t, c, "pristine result bytes", false)
+	tamper(t, dir, d)
+	if _, ok := c.Get(d); ok {
+		t.Fatal("served a blob that fails its digest check")
+	}
+
+	put(t, c, "pristine result bytes", false)
+	tamper(t, dir, d)
+	if b, ok := c.Get(d); ok {
+		t.Fatalf("re-Put after quarantine served %q without verifying its file", b)
+	}
+	if st := c.Stats(); st.Quarantined != 2 {
+		t.Fatalf("Quarantined = %d, want 2", st.Quarantined)
+	}
+
+	put(t, c, "pristine result bytes", false)
+	if b, ok := c.Get(d); !ok || string(b) != "pristine result bytes" {
+		t.Fatalf("verified re-Put: %q, %v", b, ok)
+	}
+	if err := os.Remove(filepath.Join(dir, d[:2], d)); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := c.Get(d); !ok || string(b) != "pristine result bytes" {
+		t.Fatalf("resident copy after verification: %q, %v", b, ok)
 	}
 }
 

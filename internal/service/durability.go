@@ -156,7 +156,8 @@ func encodeTrace(t memtrace.Trace) []byte {
 // --- stored results ----------------------------------------------------------
 
 // storedResult is the JSON envelope a finished job leaves in the result
-// cache; GET /v1/results/{digest} serves it verbatim.
+// cache; GET /v1/results/{digest} serves it verbatim, and cachedHit
+// splices hit documents out of its exact byte layout.
 func storeResult(j *Job, res *colcache.SimResult, sweep *colcache.SweepResult) []byte {
 	b, err := json.Marshal(colcache.StoredResult{
 		Kind:   j.Kind,
@@ -168,6 +169,130 @@ func storeResult(j *Job, res *colcache.SimResult, sweep *colcache.SweepResult) [
 		return nil
 	}
 	return b
+}
+
+// cachedHit renders the terminal JobInfo document of a cache hit at time
+// now, straight from blob, an envelope storeResult wrote:
+//
+//	{"kind":…,"digest":…,"result":{"label":…,…}}  or  {"kind":…,"digest":…,"sweep":{…}}
+//
+// It writes the JobInfo header (kind, label, state, cached, digest, both
+// timestamps), drops the first submitter's label that leads a stored
+// result, puts label in its place, and copies every other byte of the
+// envelope as it is. The result is the document encoding/json would
+// write for the decoded envelope (TestCachedHitMatchesReference). ok is
+// false, and the caller treats the hit as a miss, when blob is not of
+// that shape or does not close exactly at its end (a truncated write).
+func cachedHit(blob []byte, kind, digest, label string, now time.Time) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(blob, []byte(`{"kind":`))
+	if ok {
+		rest, ok = skipJSONString(rest)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"digest":`))
+	}
+	if ok {
+		rest, ok = skipJSONString(rest)
+	}
+	if !ok || !closesObject(rest) {
+		return nil, false
+	}
+	b := make([]byte, 0, len(rest)+len(label)+len(digest)+160)
+	b = append(b, `{"kind":`...)
+	b = appendJSONString(b, kind)
+	if label != "" {
+		b = append(b, `,"label":`...)
+		b = appendJSONString(b, label)
+	}
+	b = append(b, `,"state":"done","cached":true,"digest":`...)
+	b = appendJSONString(b, digest)
+	b = append(b, `,"submitted_at":`...)
+	b = appendJSONTime(b, now)
+	b = append(b, `,"finished_at":`...)
+	b = appendJSONTime(b, now)
+	if res, isResult := bytes.CutPrefix(rest, []byte(`,"result":{`)); isResult {
+		if stored, hasLabel := bytes.CutPrefix(res, []byte(`"label":`)); hasLabel {
+			if stored, ok = skipJSONString(stored); ok {
+				res, ok = bytes.CutPrefix(stored, []byte(","))
+			}
+			if !ok {
+				return nil, false
+			}
+		}
+		b = append(b, `,"result":{`...)
+		if label != "" {
+			b = append(b, `"label":`...)
+			b = appendJSONString(b, label)
+			b = append(b, ',')
+		}
+		rest = res
+	} else if !bytes.HasPrefix(rest, []byte(`,"sweep":{`)) {
+		return nil, false
+	}
+	b = append(b, rest...)
+	return append(b, '\n'), true
+}
+
+// skipJSONString returns what follows the JSON string b starts with.
+func skipJSONString(b []byte) ([]byte, bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return b[i+1:], true
+		}
+	}
+	return nil, false
+}
+
+// closesObject reports whether b, the inside of a JSON object after its
+// opening brace, closes that object at its last byte: brackets balance
+// outside strings, and no string is left open.
+func closesObject(b []byte) bool {
+	depth := 1
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			rest, ok := skipJSONString(b[i:])
+			if !ok {
+				return false
+			}
+			i = len(b) - len(rest) - 1
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i == len(b)-1
+			}
+		}
+	}
+	return false
+}
+
+// appendJSONString appends s as encoding/json encodes a string. Printable
+// ASCII without quotes, backslashes or HTML characters goes as it is;
+// anything else takes encoding/json's own escaping.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s)
+			return append(b, enc...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONTime appends t as time.Time's MarshalJSON does.
+func appendJSONTime(b []byte, t time.Time) []byte {
+	b = append(b, '"')
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	return append(b, '"')
 }
 
 // --- boot recovery -----------------------------------------------------------

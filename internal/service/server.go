@@ -784,31 +784,14 @@ func (s *Server) serveCached(w http.ResponseWriter, kind, digest, label string) 
 	if !ok {
 		return false
 	}
-	var sr colcache.StoredResult
-	if err := json.Unmarshal(blob, &sr); err != nil {
+	body, ok := cachedHit(blob, kind, digest, label, time.Now())
+	if !ok {
 		return false
 	}
-	now := time.Now()
-	info := colcache.JobInfo{
-		Kind:        kind,
-		Label:       label,
-		State:       colcache.StateDone,
-		Cached:      true,
-		Digest:      digest,
-		SubmittedAt: now,
-		FinishedAt:  &now,
-	}
-	if sr.Result != nil {
-		res := *sr.Result
-		res.Label = label
-		info.Result = &res
-	}
-	if sr.Sweep != nil {
-		sw := *sr.Sweep
-		info.Sweep = &sw
-	}
 	s.metrics.Jobs.Add(1, kind, "cached")
-	writeJSON(w, http.StatusOK, info)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 	return true
 }
 

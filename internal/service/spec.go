@@ -309,7 +309,7 @@ func generate(w colcache.WorkloadSpec, lineBytes, limit int, build bool) (int, *
 		if accesses = gzipsim.MinAccesses(cfg); accesses <= limit {
 			accesses = gzipsim.Accesses(cfg)
 		}
-		gen = func() *workloads.Program { return gzipsim.Job(cfg, 0) }
+		gen = func() *workloads.Program { return gzipsim.CountedJob(cfg, 0, accesses) }
 	default:
 		return 0, nil, fmt.Errorf("unknown workload %q (want one of stream, strided, random, chase, phaseshift, writesweep, matmul, fir, histogram, mpeg-dequant, mpeg-plus, mpeg-idct, gzip)", w.Name)
 	}

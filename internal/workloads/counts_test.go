@@ -107,6 +107,8 @@ func generatorCases() []countCase {
 		{WindowBytes: 600, MinMatch: 9, MaxMatch: 4},
 	} {
 		add(gzipsim.Accesses(cfg), func() memtrace.Trace { return gzipsim.Job(cfg, 0).Trace }, "gzip %+v", cfg)
+		n := gzipsim.Accesses(cfg)
+		add(n, func() memtrace.Trace { return gzipsim.CountedJob(cfg, 0, n).Trace }, "counted gzip %+v", cfg)
 	}
 	return cases
 }

@@ -109,6 +109,8 @@ type compressor struct {
 	p                        probe
 	winR, headR, prevR, outR memory.Region
 	outPos                   uint64
+	keep                     bool    // collect the token stream (Compress)
+	toks                     []Token // the token stream, when keep is set
 }
 
 // probe counts every access the compressor makes and records it when it
@@ -178,6 +180,9 @@ func (z *compressor) insert(pos int, h uint32) {
 }
 
 func (z *compressor) emit(tok Token) {
+	if z.keep {
+		z.toks = append(z.toks, tok)
+	}
 	// A literal writes one output byte, a match writes three.
 	n := uint64(1)
 	if tok.Length > 0 {
@@ -190,14 +195,12 @@ func (z *compressor) emit(tok Token) {
 	z.p.think(2)
 }
 
-func (z *compressor) run() []Token {
+func (z *compressor) run() {
 	cfg := z.cfg
-	var toks []Token
 	pos := 0
 	for pos < len(z.window) {
 		if pos+cfg.MinMatch > len(z.window) {
 			z.p.load(z.winR, uint64(pos))
-			toks = append(toks, Token{Literal: z.window[pos]})
 			z.emit(Token{Literal: z.window[pos]})
 			pos++
 			continue
@@ -215,7 +218,6 @@ func (z *compressor) run() []Token {
 			cand = z.prev[cand]
 		}
 		if bestLen >= cfg.MinMatch {
-			toks = append(toks, Token{Distance: bestDist, Length: bestLen})
 			z.emit(Token{Distance: bestDist, Length: bestLen})
 			// Insert every position of the match into the chains, as
 			// deflate's lazy loop does.
@@ -226,13 +228,11 @@ func (z *compressor) run() []Token {
 			pos = end
 		} else {
 			z.p.load(z.winR, uint64(pos))
-			toks = append(toks, Token{Literal: z.window[pos]})
 			z.emit(Token{Literal: z.window[pos]})
 			z.insert(pos, h)
 			pos++
 		}
 	}
-	return toks
 }
 
 func newCompressor(cfg Config, input []byte, rec *memtrace.Recorder, winR, headR, prevR, outR memory.Region) *compressor {
@@ -258,7 +258,9 @@ func newCompressor(cfg Config, input []byte, rec *memtrace.Recorder, winR, headR
 func Compress(cfg Config, input []byte) []Token {
 	cfg = cfg.withDefaults()
 	z := newCompressor(cfg, input, nil, memory.Region{}, memory.Region{}, memory.Region{}, memory.Region{})
-	return z.run()
+	z.keep = true
+	z.run()
+	return z.toks
 }
 
 // Accesses is Job's trace length. It depends on the text being compressed,
@@ -311,7 +313,18 @@ func Decompress(toks []Token) []byte {
 func Job(cfg Config, base memory.Addr) *workloads.Program {
 	cfg = cfg.withDefaults()
 	input := syntheticInput(cfg)
-	env := workloads.NewEnv(base, accesses(cfg, input))
+	return job(cfg, base, input, accesses(cfg, input))
+}
+
+// CountedJob is Job for a caller that already holds Accesses(cfg), as n:
+// n sizes the trace, and the count-only pass Job runs for it is skipped.
+func CountedJob(cfg Config, base memory.Addr, n int) *workloads.Program {
+	cfg = cfg.withDefaults()
+	return job(cfg, base, syntheticInput(cfg), n)
+}
+
+func job(cfg Config, base memory.Addr, input []byte, n int) *workloads.Program {
+	env := workloads.NewEnv(base, n)
 	// prev entries are 16-bit (window positions fit), as in gzip itself;
 	// the hot set (window + head + prev ≈ 56KB at defaults) then fits half
 	// of the 128KB cache but not the 16KB one — the Figure 5 contrast.

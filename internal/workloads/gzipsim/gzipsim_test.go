@@ -2,6 +2,7 @@ package gzipsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -118,5 +119,25 @@ func TestWorkingSetSize(t *testing.T) {
 	p := Job(Config{}, 0)
 	if got := p.DataBytes(); got <= 16*1024 {
 		t.Errorf("working set %d bytes does not exceed 16KB", got)
+	}
+}
+
+// BenchmarkAccesses times the count-only pass that sizes Job's trace at
+// the default 16KB window; its allocs/op show what the pass leaves behind.
+func BenchmarkAccesses(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Accesses(Config{})
+	}
+}
+
+// CountedJob records the trace Job does; only the count pass is skipped.
+func TestCountedJobMatchesJob(t *testing.T) {
+	for _, cfg := range []Config{{}, {WindowBytes: 777, Seed: 3}} {
+		want := Job(cfg, 1<<32)
+		got := CountedJob(cfg, 1<<32, Accesses(cfg))
+		if !slices.Equal(got.Trace, want.Trace) || !slices.Equal(got.Vars, want.Vars) {
+			t.Errorf("%+v: CountedJob's program differs from Job's", cfg)
+		}
 	}
 }
