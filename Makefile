@@ -34,6 +34,13 @@
 #                          streamed -cores 3 run over a trace cut
 #                          mid-record must fail and name the file
 #   servebench           - colserved under load (service-smoke.json)
+#   serve-golden         - a fixed spec set (single-core, maps, adaptive,
+#                          multicore, sweep, binary upload) submitted to a
+#                          standalone colserved and through a coordinator
+#                          with two workers, a miss then hits: the answers,
+#                          without id, node and timestamps, byte-compared
+#                          with cmd/colserved/testdata/serve.golden; the
+#                          coordinator answers each spec's last hit itself
 #   recovery             - kill -9 a durable colserved mid-work, restart,
 #                          prove no accepted job is lost or duplicated
 #   fabric               - distributed colserved gates: ring/coordinator
@@ -51,7 +58,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench smoke paper-golden paper-json colsim-golden servebench recovery fabric conformance cover multicore watch ci
+.PHONY: build test race lint fuzz-smoke bench smoke paper-golden paper-json colsim-golden servebench serve-golden recovery fabric conformance cover multicore watch ci
 
 build:
 	$(GO) build ./...
@@ -193,6 +200,23 @@ servebench:
 	done; \
 	/tmp/colload -base http://$(SERVE_ADDR) -c $(SERVE_CLIENTS) -duration $(SERVE_SECS) -out service-smoke.json
 
+# colserved's answers, pinned: cmd/colserved/servegolden.sh sends each spec
+# of a fixed set twice to a standalone durable server and three times
+# through a coordinator with two durable workers (a miss, a hit the owner
+# answers, a hit the coordinator answers from the envelope it keeps), and
+# prints every answer without id, node and timestamps. The standalone and
+# fabric answers must agree, the output must equal the golden byte for
+# byte, and the coordinator must have answered all six third hits itself.
+# A change that moves an answer on purpose regenerates the golden in the
+# same commit (cp /tmp/serve-golden.txt cmd/colserved/testdata/serve.golden).
+SERVE_GOLDEN_PORT ?= 8354
+serve-golden:
+	$(GO) build -o /tmp/colserved-golden ./cmd/colserved
+	$(GO) build -o /tmp/tracegen-serve-golden ./cmd/tracegen
+	bash cmd/colserved/servegolden.sh /tmp/colserved-golden /tmp/tracegen-serve-golden /tmp/serve-golden $(SERVE_GOLDEN_PORT) > /tmp/serve-golden.txt
+	cmp cmd/colserved/testdata/serve.golden /tmp/serve-golden.txt
+	python3 -c "import json; v = json.load(open('/tmp/serve-golden/nodes.json')); assert v['edge_hits'] == 6, v['edge_hits']"
+
 # Crash-recovery gate: the kill -9 integration test builds the real
 # daemon (with -race), SIGKILLs it with queued and in-flight jobs, and
 # asserts the restart finishes every accepted job exactly once.
@@ -281,4 +305,4 @@ cover:
 		} \
 		END { if (bad) { print "coverage below the 85% gate"; exit 1 } }'
 
-ci: build lint test fuzz-smoke race bench smoke paper-golden paper-json colsim-golden servebench recovery fabric conformance cover multicore watch
+ci: build lint test fuzz-smoke race bench smoke paper-golden paper-json colsim-golden servebench serve-golden recovery fabric conformance cover multicore watch

@@ -131,6 +131,20 @@ func run(args []string) int {
 		defer dur.Close()
 	}
 
+	// The listener comes first: a worker without -node is named after its
+	// bound address, and the server writes that name into its hit documents.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Printf("colserved: %v", err)
+		return 1
+	}
+	name := ""
+	if *role == "worker" {
+		if name = *node; name == "" {
+			name = "worker-" + ln.Addr().String()
+		}
+	}
+
 	srv := service.New(service.Config{
 		Workers:           *workers,
 		QueueDepth:        *queue,
@@ -144,6 +158,7 @@ func run(args []string) int {
 		Durability:        dur,
 		InspectEvery:      *inspectEvery,
 		InspectFrameBytes: *inspectBytes,
+		Node:              name,
 	})
 	if *inspectEvery > 0 {
 		logf("colserved: live inspection on: frame every %d accesses, GET /v1/jobs/{id}/inspect", *inspectEvery)
@@ -155,20 +170,10 @@ func run(args []string) int {
 			*dataDir, rec.Requeued, rec.Resumed, rec.Finished, rec.Dropped)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Printf("colserved: %v", err)
-		return 1
-	}
-
 	// Worker role: register with the coordinator before serving traffic so
 	// the first routed job never races the first heartbeat.
 	var agent *fabric.Agent
 	if *role == "worker" {
-		name := *node
-		if name == "" {
-			name = "worker-" + ln.Addr().String()
-		}
 		base := *advertise
 		if base == "" {
 			base = advertiseURL(ln.Addr())

@@ -104,6 +104,9 @@ type Coordinator struct {
 	// subscriber's request context bounds instead of the forward budget.
 	stream *http.Client
 	start  time.Time
+	// edge holds verified result envelopes, so the coordinator answers
+	// repeat hits itself instead of forwarding them to the owner.
+	edge *edgeCache
 
 	// idPrefix is "f" plus a random boot nonce, so fabric IDs issued by a
 	// restarted coordinator never collide with the ones its predecessor
@@ -124,6 +127,7 @@ type Coordinator struct {
 	steals        atomic.Int64
 	stealFailures atomic.Int64
 	cachedRelays  atomic.Int64
+	edgeHits      atomic.Int64
 }
 
 // ClusterView is the document of GET /fabric/v1/nodes: the membership
@@ -138,6 +142,7 @@ type ClusterView struct {
 	StealFailures int64      `json:"steal_failures"`
 	ForwardErrors int64      `json:"forward_errors"`
 	CachedRelays  int64      `json:"cached_relays"`
+	EdgeHits      int64      `json:"edge_hits"`
 }
 
 // RouteView is the document of GET /fabric/v1/route/{digest}: where a
@@ -149,17 +154,27 @@ type RouteView struct {
 	Successors []string `json:"successors,omitempty"`
 }
 
+// forwardIdlePerHost is how many idle connections the coordinator keeps
+// open to each worker. The default transport keeps two, so more than two
+// concurrent clients made the coordinator dial a worker afresh for most
+// forwards.
+const forwardIdlePerHost = 64
+
 // NewCoordinator builds a coordinator and starts its failure detector.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0 // no cap across workers; the per-host one holds
+	transport.MaxIdleConnsPerHost = forwardIdlePerHost
 	c := &Coordinator{
 		cfg:    cfg,
 		ring:   NewRing(cfg.VNodes),
 		reg:    NewRegistry(cfg.PeerTTL),
 		mux:    http.NewServeMux(),
-		client: &http.Client{Timeout: cfg.ForwardTimeout},
-		stream: &http.Client{},
+		client: &http.Client{Timeout: cfg.ForwardTimeout, Transport: transport},
+		stream: &http.Client{Transport: transport},
 		start:  time.Now(),
+		edge:   newEdgeCache(edgeBudgetBytes),
 		jobs:   make(map[string]*routedJob),
 		byNode: make(map[string]int64),
 		stopc:  make(chan struct{}),
@@ -538,6 +553,7 @@ func (c *Coordinator) clusterView() ClusterView {
 		StealFailures: c.stealFailures.Load(),
 		ForwardErrors: c.forwardErrors.Load(),
 		CachedRelays:  c.cachedRelays.Load(),
+		EdgeHits:      c.edgeHits.Load(),
 	}
 }
 
@@ -555,31 +571,33 @@ func (c *Coordinator) handleRoute(w http.ResponseWriter, r *http.Request) {
 
 // digestOf computes the same content address the worker's durability
 // layer would, from the submission as the coordinator sees it — routing
-// and memoization must agree on the key or warm caches are useless.
-func digestOf(path string, r *http.Request, body []byte) (digest, kind string, err error) {
+// and memoization must agree on the key or warm caches are useless. It
+// also returns the submission's label (the spec's, the query's for an
+// upload, or the sweep's), which the digest leaves out.
+func digestOf(path string, r *http.Request, body []byte) (digest, kind, label string, err error) {
 	if path == "/v1/sweep" {
 		var spec colcache.SweepSpec
 		if err := json.Unmarshal(body, &spec); err != nil {
-			return "", "", fmt.Errorf("bad JSON: %v", err)
+			return "", "", "", fmt.Errorf("bad JSON: %v", err)
 		}
-		return service.SweepDigest(spec), "sweep", nil
+		return service.SweepDigest(spec), "sweep", spec.Label, nil
 	}
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
 		spec, err := service.MachineFromQuery(r)
 		if err != nil {
-			return "", "", fmt.Errorf("bad query: %v", err)
+			return "", "", "", fmt.Errorf("bad query: %v", err)
 		}
-		return service.SimDigest(spec, body), "simulate", nil
+		return service.SimDigest(spec, body), "simulate", spec.Label, nil
 	}
 	var spec colcache.SimSpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		return "", "", fmt.Errorf("bad JSON: %v", err)
+		return "", "", "", fmt.Errorf("bad JSON: %v", err)
 	}
 	kind = "simulate"
 	if spec.Multicore != nil {
 		kind = "multicore"
 	}
-	return service.SimDigest(spec, nil), kind, nil
+	return service.SimDigest(spec, nil), kind, spec.Label, nil
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -592,10 +610,25 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/v1/sweep" {
 		path = "/v1/sweep"
 	}
-	digest, kind, err := digestOf(path, r, body)
+	digest, kind, label, err := digestOf(path, r, body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, colcache.APIError{Error: err.Error()})
 		return
+	}
+
+	// A digest whose envelope is resident is answered here, by the splice
+	// the worker itself would use. The digest covers the canonical spec
+	// and leaves out only the label, which no validation reads, so the
+	// owner's acceptance of the submission that filled the entry covers
+	// this one too.
+	if ent, ok := c.edge.get(digest); ok {
+		if doc, ok := service.CachedHit(ent.blob, kind, digest, ent.node, label, time.Now()); ok {
+			c.edgeHits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			w.Write(doc)
+			return
+		}
 	}
 
 	// Route to the digest's owner; a connection error expires the owner
@@ -612,6 +645,23 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			c.forwardErrors.Add(1)
 			c.workerDown(owner, "submit forward: "+err.Error())
 			continue
+		}
+		if resp.StatusCode == http.StatusOK {
+			// Warm result cache on the owner. The worker names itself in
+			// the hit document, so it streams to the client as it is; the
+			// envelope behind it is fetched once for later hits. The
+			// length goes along, so an owner that dies mid-answer leaves
+			// the client a short read, not a document that looks whole.
+			c.cachedRelays.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			if resp.ContentLength >= 0 {
+				w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+			}
+			w.WriteHeader(http.StatusOK)
+			io.Copy(w, resp.Body)
+			resp.Body.Close()
+			c.fill(digest, kind, owner, view.BaseURL)
+			return
 		}
 		payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
 		resp.Body.Close()
@@ -632,22 +682,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Location", "/v1/jobs/"+j.fabricID)
 			writeJSON(w, http.StatusAccepted, info)
 			return
-		case http.StatusOK:
-			// Warm result cache on the owner: relay the terminal document.
-			var info colcache.JobInfo
-			if err := json.Unmarshal(payload, &info); err == nil && info.Cached {
-				c.cachedRelays.Add(1)
-				info.Node = owner
-				if info.Digest == "" {
-					info.Digest = digest
-				}
-				writeJSON(w, http.StatusOK, info)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			w.Write(payload)
-			return
 		default:
 			// Backpressure and validation answers relay verbatim — the
 			// client's retry contract is the same as against one daemon.
@@ -665,6 +699,44 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeShed(w, http.StatusServiceUnavailable, 1, "no worker accepted the submission")
+}
+
+// fill keeps digest's stored envelope for later hits, fetched in the
+// background from node, the worker that just answered a hit for it. At
+// most one fill per digest is in flight; the client's answer never waits
+// for one.
+func (c *Coordinator) fill(digest, kind, node, baseURL string) {
+	if !c.edge.startFill(digest) {
+		return
+	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.edge.endFill(digest, c.fetchEnvelope(digest, kind, node, baseURL), node)
+	}()
+}
+
+// fetchEnvelope reads digest's envelope from a worker through the same
+// immutable GET /v1/results/{digest} any client may use. It returns nil
+// unless the envelope names digest under the submission's kind, exactly
+// where CachedHit reads them, and CachedHit accepts its shape.
+func (c *Coordinator) fetchEnvelope(digest, kind, node, baseURL string) []byte {
+	resp, err := c.forward(http.MethodGet, baseURL, "/v1/results/"+digest, "", "", nil)
+	if err != nil {
+		return nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	blob, err := io.ReadAll(io.LimitReader(resp.Body, edgeBudgetBytes+1))
+	if err != nil || !bytes.HasPrefix(blob, []byte(`{"kind":"`+kind+`","digest":"`+digest+`",`)) {
+		return nil
+	}
+	if _, ok := service.CachedHit(blob, kind, digest, node, "", time.Now()); !ok {
+		return nil
+	}
+	return blob
 }
 
 // registerJob records a forwarded submission under a fresh fabric ID,
@@ -1015,6 +1087,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP colserved_fabric_steal_failures_total Orphaned jobs no live worker could take.\n# TYPE colserved_fabric_steal_failures_total counter\ncolserved_fabric_steal_failures_total %d\n", view.StealFailures)
 	fmt.Fprintf(w, "# HELP colserved_fabric_forward_errors_total Proxied requests that hit a dead worker.\n# TYPE colserved_fabric_forward_errors_total counter\ncolserved_fabric_forward_errors_total %d\n", view.ForwardErrors)
 	fmt.Fprintf(w, "# HELP colserved_fabric_cached_relays_total Submissions answered from a worker's warm result cache.\n# TYPE colserved_fabric_cached_relays_total counter\ncolserved_fabric_cached_relays_total %d\n", view.CachedRelays)
+	fmt.Fprintf(w, "# HELP colserved_fabric_edge_hits_total Submissions answered at the coordinator from a resident result envelope.\n# TYPE colserved_fabric_edge_hits_total counter\ncolserved_fabric_edge_hits_total %d\n", view.EdgeHits)
 
 	c.mu.Lock()
 	nodes := make([]string, 0, len(c.byNode))

@@ -41,8 +41,11 @@ func (w *testWorker) kill() {
 	w.http.Close()
 }
 
+// startTestWorker names the server after the worker, as colserved -role
+// worker does, so its cache-hit documents carry the node.
 func startTestWorker(t *testing.T, coordURL, name string, cfg service.Config) *testWorker {
 	t.Helper()
+	cfg.Node = name
 	srv := service.New(cfg)
 	hs := httptest.NewServer(srv.Handler())
 	w := &testWorker{name: name, srv: srv, http: hs}

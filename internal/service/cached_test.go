@@ -15,8 +15,8 @@ import (
 
 // referenceHit is the cache-hit document built the long way: decode the
 // stored envelope, rebuild the JobInfo with the request's label, and encode
-// it as writeJSON does. cachedHit must produce the same bytes.
-func referenceHit(blob []byte, kind, digest, label string, now time.Time) ([]byte, bool) {
+// it as writeJSON does. CachedHit must produce the same bytes.
+func referenceHit(blob []byte, kind, digest, node, label string, now time.Time) ([]byte, bool) {
 	var sr colcache.StoredResult
 	if err := json.Unmarshal(blob, &sr); err != nil {
 		return nil, false
@@ -27,6 +27,7 @@ func referenceHit(blob []byte, kind, digest, label string, now time.Time) ([]byt
 		State:       colcache.StateDone,
 		Cached:      true,
 		Digest:      digest,
+		Node:        node,
 		SubmittedAt: now,
 		FinishedAt:  &now,
 	}
@@ -117,29 +118,35 @@ var hitTimes = []time.Time{
 	time.Date(2026, 6, 30, 23, 59, 59, 100000000, time.FixedZone("", 5*3600+1800)),
 }
 
-func checkHit(t *testing.T, blob []byte, kind, label string, now time.Time) {
+// hitNodes are the answering nodes: none (a standalone server) and fabric
+// worker names, one of them in need of escaping.
+var hitNodes = []string{"", "w1", "worker-127.0.0.1:8351", "node <\"&\">"}
+
+func checkHit(t *testing.T, blob []byte, kind, node, label string, now time.Time) {
 	t.Helper()
-	want, wantOK := referenceHit(blob, kind, hitDigest, label, now)
-	got, ok := cachedHit(blob, kind, hitDigest, label, now)
+	want, wantOK := referenceHit(blob, kind, hitDigest, node, label, now)
+	got, ok := CachedHit(blob, kind, hitDigest, node, label, now)
 	if ok != wantOK || !bytes.Equal(got, want) {
-		t.Fatalf("kind %s label %q at %v:\n got %v %s\nwant %v %s", kind, label, now, ok, got, wantOK, want)
+		t.Fatalf("kind %s node %q label %q at %v:\n got %v %s\nwant %v %s", kind, node, label, now, ok, got, wantOK, want)
 	}
 }
 
 // TestCachedHitMatchesReference pins the cache-hit document: for every
-// kind of envelope, stored label and request label, the bytes cachedHit
-// writes are the bytes decoding and re-encoding the envelope would, and
-// every truncation of an envelope is a miss.
+// kind of envelope, stored label, answering node and request label, the
+// bytes CachedHit writes are the bytes decoding and re-encoding the
+// envelope would, and every truncation of an envelope is a miss.
 func TestCachedHitMatchesReference(t *testing.T) {
 	for _, stored := range []string{"", "first submitter", "<stored \"label\">"} {
 		for kind, blob := range hitEnvelopes(t, stored) {
-			for _, label := range hitLabels {
-				for _, now := range hitTimes {
-					checkHit(t, blob, kind, label, now)
+			for _, node := range hitNodes {
+				for _, label := range hitLabels {
+					for _, now := range hitTimes {
+						checkHit(t, blob, kind, node, label, now)
+					}
 				}
 			}
 			for n := 0; n < len(blob); n++ {
-				if body, ok := cachedHit(blob[:n], kind, hitDigest, "x", hitTimes[0]); ok {
+				if body, ok := CachedHit(blob[:n], kind, hitDigest, "w1", "x", hitTimes[0]); ok {
 					t.Fatalf("%s envelope cut to %d of %d bytes served as a hit: %s", kind, n, len(blob), body)
 				}
 			}
@@ -189,23 +196,27 @@ func TestCachedHitOverHTTP(t *testing.T) {
 		if err := json.Unmarshal(body, &hit); err != nil {
 			t.Fatal(err)
 		}
-		want, ok := referenceHit(blob, "simulate", info.Digest, label, hit.SubmittedAt)
+		want, ok := referenceHit(blob, "simulate", info.Digest, "", label, hit.SubmittedAt)
 		if !ok || !bytes.Equal(body, want) {
 			t.Fatalf("label %q:\n got %s\nwant %s", label, body, want)
 		}
 	}
 }
 
-// FuzzCachedHit compares cachedHit with the reference over arbitrary
-// stored and request labels, for every kind of envelope.
+// FuzzCachedHit compares CachedHit with the reference over arbitrary
+// stored labels, answering nodes and request labels, for every kind of
+// envelope.
 func FuzzCachedHit(f *testing.F) {
 	for _, l := range hitLabels {
-		f.Add(l, "second")
-		f.Add("first", l)
+		f.Add(l, "", "second")
+		f.Add("first", "w1", l)
 	}
-	f.Fuzz(func(t *testing.T, stored, label string) {
+	for _, n := range hitNodes {
+		f.Add("first", n, "second")
+	}
+	f.Fuzz(func(t *testing.T, stored, node, label string) {
 		for kind, blob := range hitEnvelopes(t, stored) {
-			checkHit(t, blob, kind, label, hitTimes[0])
+			checkHit(t, blob, kind, node, label, hitTimes[0])
 		}
 	})
 }
@@ -217,12 +228,12 @@ func BenchmarkCachedHit(b *testing.B) {
 	now := hitTimes[0]
 	for _, bc := range []struct {
 		name string
-		hit  func([]byte, string, string, string, time.Time) ([]byte, bool)
-	}{{"splice", cachedHit}, {"reference", referenceHit}} {
+		hit  func([]byte, string, string, string, string, time.Time) ([]byte, bool)
+	}{{"splice", CachedHit}, {"reference", referenceHit}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, ok := bc.hit(blob, "simulate", hitDigest, "colload-3", now); !ok {
+				if _, ok := bc.hit(blob, "simulate", hitDigest, "", "colload-3", now); !ok {
 					b.Fatal("miss")
 				}
 			}

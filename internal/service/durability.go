@@ -156,7 +156,7 @@ func encodeTrace(t memtrace.Trace) []byte {
 // --- stored results ----------------------------------------------------------
 
 // storedResult is the JSON envelope a finished job leaves in the result
-// cache; GET /v1/results/{digest} serves it verbatim, and cachedHit
+// cache; GET /v1/results/{digest} serves it verbatim, and CachedHit
 // splices hit documents out of its exact byte layout.
 func storeResult(j *Job, res *colcache.SimResult, sweep *colcache.SweepResult) []byte {
 	b, err := json.Marshal(colcache.StoredResult{
@@ -171,19 +171,22 @@ func storeResult(j *Job, res *colcache.SimResult, sweep *colcache.SweepResult) [
 	return b
 }
 
-// cachedHit renders the terminal JobInfo document of a cache hit at time
+// CachedHit renders the terminal JobInfo document of a cache hit at time
 // now, straight from blob, an envelope storeResult wrote:
 //
 //	{"kind":…,"digest":…,"result":{"label":…,…}}  or  {"kind":…,"digest":…,"sweep":{…}}
 //
-// It writes the JobInfo header (kind, label, state, cached, digest, both
-// timestamps), drops the first submitter's label that leads a stored
+// It writes the JobInfo header (kind, label, state, cached, digest, node,
+// both timestamps), drops the first submitter's label that leads a stored
 // result, puts label in its place, and copies every other byte of the
-// envelope as it is. The result is the document encoding/json would
-// write for the decoded envelope (TestCachedHitMatchesReference). ok is
-// false, and the caller treats the hit as a miss, when blob is not of
-// that shape or does not close exactly at its end (a truncated write).
-func cachedHit(blob []byte, kind, digest, label string, now time.Time) ([]byte, bool) {
+// envelope as it is. node names the fabric worker that answers (empty on a
+// standalone server, and then left out). The result is the document
+// encoding/json would write for the decoded envelope
+// (TestCachedHitMatchesReference). ok is false, and the caller treats the
+// hit as a miss, when blob is not of that shape or does not close exactly
+// at its end (a truncated write). A worker answers its own hits with it,
+// and the fabric coordinator answers hits from envelopes it holds.
+func CachedHit(blob []byte, kind, digest, node, label string, now time.Time) ([]byte, bool) {
 	rest, ok := bytes.CutPrefix(blob, []byte(`{"kind":`))
 	if ok {
 		rest, ok = skipJSONString(rest)
@@ -197,7 +200,7 @@ func cachedHit(blob []byte, kind, digest, label string, now time.Time) ([]byte, 
 	if !ok || !closesObject(rest) {
 		return nil, false
 	}
-	b := make([]byte, 0, len(rest)+len(label)+len(digest)+160)
+	b := make([]byte, 0, len(rest)+len(label)+len(digest)+len(node)+170)
 	b = append(b, `{"kind":`...)
 	b = appendJSONString(b, kind)
 	if label != "" {
@@ -206,6 +209,10 @@ func cachedHit(blob []byte, kind, digest, label string, now time.Time) ([]byte, 
 	}
 	b = append(b, `,"state":"done","cached":true,"digest":`...)
 	b = appendJSONString(b, digest)
+	if node != "" {
+		b = append(b, `,"node":`...)
+		b = appendJSONString(b, node)
+	}
 	b = append(b, `,"submitted_at":`...)
 	b = appendJSONTime(b, now)
 	b = append(b, `,"finished_at":`...)

@@ -63,6 +63,10 @@ type Config struct {
 	// InspectHeartbeat is the SSE keep-alive comment cadence (default
 	// 15s; tests shorten it).
 	InspectHeartbeat time.Duration
+	// Node is the fabric worker's ring name, written into every cache-hit
+	// document so the coordinator can relay the hit as it is. Empty on a
+	// standalone server, whose hit documents carry no node.
+	Node string
 }
 
 func (c Config) withDefaults() Config {
@@ -784,7 +788,7 @@ func (s *Server) serveCached(w http.ResponseWriter, kind, digest, label string) 
 	if !ok {
 		return false
 	}
-	body, ok := cachedHit(blob, kind, digest, label, time.Now())
+	body, ok := CachedHit(blob, kind, digest, s.cfg.Node, label, time.Now())
 	if !ok {
 		return false
 	}
